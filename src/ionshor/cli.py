@@ -2,14 +2,12 @@
 
 Exit codes: 0 success, 1 validation failure (message names the offending
 parameter and constraint), 2 I/O failure.  Identical argv and seed produce
-byte-identical output.  The env var IONSHOR_DENSE_CAP or --dense-cap widens
-the dense-simulation qubit limit where it applies.
+byte-identical output.
 """
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 import numpy as np
@@ -93,6 +91,8 @@ def _cmd_build(args) -> None:
 
 
 def _cmd_simulate(args) -> None:
+    if args.shots is not None and args.shots < 1:
+        raise CliError(f"--shots must be >= 1, got {args.shots}")
     n_x = args.nx if args.nx is not None else 2 * args.N.bit_length() + 2
     dist = simulator.order_finding_distribution(args.N, args.y, n_x)
     if args.shots is not None:
@@ -168,8 +168,6 @@ def _cmd_decompose_u(args) -> None:
 
 def _make_parser() -> _Parser:
     parser = _Parser(prog="ionshor", description=__doc__.splitlines()[0])
-    parser.add_argument("--dense-cap", type=int, default=None,
-                        help="override the dense-simulation qubit cap")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common_out(p):
@@ -231,8 +229,6 @@ def main(argv=None) -> int:
     parser = _make_parser()
     try:
         args = parser.parse_args(argv)
-        if args.dense_cap is not None:
-            os.environ["IONSHOR_DENSE_CAP"] = str(args.dense_cap)
         args.fn(args)
     except (CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -73,13 +73,11 @@ def depth_bound(program: NativeProgram) -> int:
 
 def count_gates(program: NativeProgram) -> ResourceReport:
     """Exact per-kind counts plus the depth bound of a native program."""
-    histogram: dict[str, int] = {}
-    two_qubit = 0
-    for g in program.gates:
-        histogram[g.kind.value] = histogram.get(g.kind.value, 0) + 1
-        if g.kind is GateKind.XX:
-            two_qubit += 1
-    total = len(program.gates)
+    kinds = [g.kind for g in program.gates]
+    # keys in order of first appearance
+    histogram = {k.value: kinds.count(k) for k in dict.fromkeys(kinds)}
+    two_qubit = histogram.get(GateKind.XX.value, 0)
+    total = len(kinds)
     return ResourceReport(total_native=total, two_qubit=two_qubit,
                           single_qubit=total - two_qubit,
                           depth_bound=depth_bound(program),

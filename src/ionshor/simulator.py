@@ -18,7 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .circuit import Circuit, Gate, GateKind, gate_matrix
+from .circuit import Circuit, Gate, GateKind, RegisterLayout, gate_matrix
 from .classical import gcd, mod_pow
 from . import templates
 
@@ -29,6 +29,7 @@ __all__ = [
 ]
 
 DENSE_QUBIT_CAP = 14
+_BATCH_WIRE_CAP = 64  # the batch engine packs each basis index into a uint64
 NORM_TOL = 1e-9
 _PROB_FLOOR = 1e-14  # distributions drop dust below this; lost mass < NORM_TOL
 
@@ -148,7 +149,14 @@ def simulate_reversible(circuit: Circuit, basis_in: int) -> int:
 
 
 def simulate_reversible_batch(circuit: Circuit, basis_in) -> np.ndarray:
-    """Vectorized reversible engine: one row of bit-planes per wire."""
+    """Vectorized reversible engine: one row of bit-planes per wire.
+
+    Basis indices are uint64 words, so circuits wider than 64 wires are
+    rejected.
+    """
+    if circuit.width > _BATCH_WIRE_CAP:
+        raise ValueError(f"circuit width {circuit.width} exceeds the batch "
+                         f"engine's {_BATCH_WIRE_CAP}-wire limit")
     idx = np.asarray(basis_in, dtype=np.uint64)
     if idx.size and int(idx.max()) >= (1 << circuit.width):
         raise ValueError("basis index out of range for circuit width")
@@ -282,5 +290,9 @@ def order_finding_distribution(N: int, y: int, n_x: int) -> Distribution:
         raise ValueError(f"base {y} is not coprime to {N}")
     if n_x < 1:
         raise ValueError(f"n_x must be >= 1, got {n_x}")
+    width = RegisterLayout(n_x, N.bit_length()).width
+    if width > _BATCH_WIRE_CAP:
+        raise ValueError(f"N = {N} with n_x = {n_x} needs {width} wires; the "
+                         f"batch engine handles at most {_BATCH_WIRE_CAP}")
     outcomes, probs = _order_finding_probs(N, y % N, n_x)
     return Distribution(dict(zip(outcomes, probs)))

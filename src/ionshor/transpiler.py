@@ -1,6 +1,6 @@
 """Lowering to trapped-ion natives: R(theta, phi) rotations and XX(chi).
 
-The pipeline has four steps:
+The lowering has four steps:
 
   1. expand SWAP, Fredkin and CR_k over {Toffoli, CNOT, single-qubit};
   2. replace each Toffoli by the controlled-sqrt(X) block
@@ -10,6 +10,15 @@ The pipeline has four steps:
   4. multiply every maximal run of single-qubit gates on a wire into one
      unitary and emit it as at most two R rotations via the closed-form
      decomposition U = e^{id} R(-pi, -c-pi/2) R(2b+pi, a-c-pi/2).
+
+``transpile`` runs all four steps as one pass over the source gates: the
+fixed factors of each step-3 block go straight into the pending product of
+their wire, no intermediate circuit is built, and each distinct
+(product, wire) is decomposed once per call.  ``lower_toffoli``,
+``lower_two_qubit`` and ``merge_singles`` are stepwise views of the same
+lowering, built from the same tables, and
+``merge_singles(lower_two_qubit(lower_toffoli(c), s))`` equals
+``transpile(c, s)`` exactly, gates and phase.
 
 Phases are tracked, not discarded: the identities in step 3 are exact and
 step 4 accumulates each d into NativeProgram.global_phase, so the emitted
@@ -21,13 +30,12 @@ import cmath
 import json
 import math
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Callable, Mapping
 
 import numpy as np
 
 from .circuit import (
-    CNOT, CV, CV_INV, R, TOFFOLI, U1, XX,
-    Circuit, Gate, GateKind, gate_matrix,
+    U1, R, XX, Circuit, Gate, GateKind, gate_matrix,
 )
 
 __all__ = [
@@ -56,18 +64,47 @@ def _phase(alpha: float) -> np.ndarray:
     return np.diag([1.0, np.exp(1j * alpha)]).astype(complex)
 
 
-# CNOT = e^{i pi/4} (RZ(pi/2) H Z (x) RX(pi/2)) XX(pi/4) (Z H (x) I)
-_CNOT_PRE_C = _PZ @ _HM
-_CNOT_POST_C = cmath.exp(0.25j * math.pi) * (_rz(math.pi / 2) @ _HM @ _PZ)
-_CNOT_POST_T = _rx(math.pi / 2)
-# CV = (P(pi/4) H Z (x) RX(pi/4)) XX(pi/8) (Z H (x) I)
-_CV_PRE_C = _PZ @ _HM
-_CV_POST_C = _phase(math.pi / 4) @ _HM @ _PZ
-_CV_POST_T = _rx(math.pi / 4)
-# CV' = (P(-pi/4) H (x) RX(-pi/4)) XX(pi/8) (H (x) I)
-_CVINV_PRE_C = _HM
-_CVINV_POST_C = _phase(-math.pi / 4) @ _HM
-_CVINV_POST_T = _rx(-math.pi / 4)
+def _fixed(matrix: np.ndarray) -> np.ndarray:
+    """A fixed single-qubit factor of step 3 exactly as step 4 reads it back
+    from its U1 gate, so one-pass products match stepwise ones bit for bit."""
+    return gate_matrix(U1(0, matrix))
+
+
+# Step-3 identities, kind -> (pre on control, chi, post on control, post on
+# target):
+#   CNOT = e^{i pi/4} (RZ(pi/2) H Z (x) RX(pi/2)) XX(pi/4) (Z H (x) I)
+#   CV   = (P(pi/4) H Z (x) RX(pi/4)) XX(pi/8) (Z H (x) I)
+#   CV'  = (P(-pi/4) H (x) RX(-pi/4)) XX(pi/8) (H (x) I)
+_BLOCKS = {
+    GateKind.CNOT: (
+        _fixed(_PZ @ _HM), math.pi / 4,
+        _fixed(cmath.exp(0.25j * math.pi) * (_rz(math.pi / 2) @ _HM @ _PZ)),
+        _fixed(_rx(math.pi / 2))),
+    GateKind.CV: (
+        _fixed(_PZ @ _HM), math.pi / 8,
+        _fixed(_phase(math.pi / 4) @ _HM @ _PZ), _fixed(_rx(math.pi / 4))),
+    GateKind.CVINV: (
+        _fixed(_HM), math.pi / 8,
+        _fixed(_phase(-math.pi / 4) @ _HM), _fixed(_rx(-math.pi / 4))),
+}
+# XX(chi) = (Z (x) I) XX(-chi) (Z (x) I), for pairs that offer only -chi.
+_Z = _fixed(_PZ)
+
+# Steps 1 and 2: SWAP, Toffoli and Fredkin as sequences of step-3 blocks,
+# each a kind and the positions of its (control, target) in the source
+# gate's wires.  Toffoli(a, b, t) = CV(b,t) CNOT(a,b) CV'(b,t) CNOT(a,b)
+# CV(a,t) and Fredkin(c, t0, t1) = CNOT(t1,t0) Toffoli(c,t0,t1) CNOT(t1,t0).
+_TOFFOLI_BLOCKS = ((GateKind.CV, (1, 2)), (GateKind.CNOT, (0, 1)),
+                   (GateKind.CVINV, (1, 2)), (GateKind.CNOT, (0, 1)),
+                   (GateKind.CV, (0, 2)))
+_EXPANSIONS = {
+    GateKind.SWAP: ((GateKind.CNOT, (0, 1)), (GateKind.CNOT, (1, 0)),
+                    (GateKind.CNOT, (0, 1))),
+    GateKind.TOFFOLI: _TOFFOLI_BLOCKS,
+    GateKind.FREDKIN: ((GateKind.CNOT, (2, 1)), *_TOFFOLI_BLOCKS,
+                       (GateKind.CNOT, (2, 1))),
+}
+_THREE_QUBIT = frozenset({GateKind.TOFFOLI, GateKind.FREDKIN})
 
 
 def lower_toffoli(circuit: Circuit) -> Circuit:
@@ -76,30 +113,24 @@ def lower_toffoli(circuit: Circuit) -> Circuit:
     Fredkin first becomes CNOT-conjugated Toffoli; each Toffoli then becomes
     two CNOTs and three controlled-sqrt(X) gates.
     """
-    expanded: list[Gate] = []
-    for g in circuit.gates:
-        if g.kind is GateKind.FREDKIN:
-            c, t0, t1 = g.wires
-            expanded += [CNOT(t1, t0), TOFFOLI(c, t0, t1), CNOT(t1, t0)]
-        else:
-            expanded.append(g)
     lowered: list[Gate] = []
-    for g in expanded:
-        if g.kind is GateKind.TOFFOLI:
-            a, b, t = g.wires
-            lowered += [CV(b, t), CNOT(a, b), CV_INV(b, t), CNOT(a, b), CV(a, t)]
+    for g in circuit.gates:
+        if g.kind in _THREE_QUBIT:
+            w = g.wires
+            lowered += [Gate(kind, (w[i], w[j]))
+                        for kind, (i, j) in _EXPANSIONS[g.kind]]
         else:
             lowered.append(g)
     return Circuit(circuit.width, lowered, circuit.layout)
 
 
-def _crk_block(g: Gate) -> list[Gate]:
-    c, t = g.wires
+def _crk_phases(g: Gate) -> tuple[np.ndarray, np.ndarray]:
+    """P(-phi/2) and P(phi/2) of CR_k(c, t) = (P(phi/2) (x) P(phi/2))
+    CNOT (I (x) P(-phi/2)) CNOT, with phi = +-2 pi / 2^k."""
     phi = 2 * math.pi / 2 ** int(g.params[0])
     if g.kind is GateKind.CRKINV:
         phi = -phi
-    return [CNOT(c, t), U1(t, _phase(-phi / 2)), CNOT(c, t),
-            U1(t, _phase(phi / 2)), U1(c, _phase(phi / 2))]
+    return _fixed(_phase(-phi / 2)), _fixed(_phase(phi / 2))
 
 
 XXSigns = Mapping[frozenset, int] | int | None
@@ -113,6 +144,71 @@ def _pair_sign(xx_sign: XXSigns, w0: int, w1: int) -> int:
     return 1 if xx_sign >= 0 else -1
 
 
+def _walk(circuit: Circuit, xx_sign: XXSigns, three_qubit: bool,
+          single: Callable[[int, np.ndarray], None],
+          source_single: Callable[[Gate], None],
+          native_xx: Callable[[Gate], None]) -> None:
+    """Lower ``circuit`` through step 3, handing each gate to a callback.
+
+    In circuit order, ``single(w, m)`` gets each fixed factor m placed on
+    wire w, ``source_single(g)`` each single-qubit gate of the source, and
+    ``native_xx(g)`` each XX gate, with chi already of the sign the pair
+    offers.  Toffoli and Fredkin are lowered only if ``three_qubit`` is set.
+    """
+    xx_gates: dict[tuple[int, int, float], Gate] = {}
+    crk: dict[tuple[GateKind, float], tuple[np.ndarray, np.ndarray]] = {}
+
+    def block_xx(w0: int, w1: int, chi: float) -> Gate:
+        # block angles are fixed non-zero floats, so the key names one gate
+        key = (w0, w1, chi)
+        g = xx_gates.get(key)
+        if g is None:
+            g = xx_gates[key] = XX(w0, w1, chi)
+        return g
+
+    def emit_xx(w0: int, w1: int, chi: float,
+                make: Callable[[int, int, float], Gate]) -> None:
+        if chi * _pair_sign(xx_sign, w0, w1) < 0:
+            single(w0, _Z)
+            native_xx(make(w0, w1, -chi))
+            single(w0, _Z)
+        else:
+            native_xx(make(w0, w1, chi))
+
+    def block(kind: GateKind, c: int, t: int) -> None:
+        pre_c, chi, post_c, post_t = _BLOCKS[kind]
+        single(c, pre_c)
+        emit_xx(c, t, chi, block_xx)
+        single(c, post_c)
+        single(t, post_t)
+
+    for g in circuit.gates:
+        kind = g.kind
+        if kind in _SINGLE_KINDS:
+            source_single(g)
+        elif kind in _BLOCKS:
+            block(kind, *g.wires)
+        elif kind is GateKind.XX:
+            emit_xx(g.wires[0], g.wires[1], g.params[0], XX)
+        elif kind is GateKind.SWAP or (three_qubit and kind in _THREE_QUBIT):
+            w = g.wires
+            for sub, (i, j) in _EXPANSIONS[kind]:
+                block(sub, w[i], w[j])
+        elif kind in (GateKind.CRK, GateKind.CRKINV):
+            key = (kind, g.params[0])
+            if key not in crk:
+                crk[key] = _crk_phases(g)
+            neg, pos = crk[key]
+            c, t = g.wires
+            block(GateKind.CNOT, c, t)
+            single(t, neg)
+            block(GateKind.CNOT, c, t)
+            single(t, pos)
+            single(c, pos)
+        else:
+            raise ValueError(f"cannot lower {kind.value} to the native set")
+
+
 def lower_two_qubit(circuit: Circuit, xx_sign: XXSigns = None) -> Circuit:
     """Map every two-qubit gate onto a single XX block.
 
@@ -121,47 +217,10 @@ def lower_two_qubit(circuit: Circuit, xx_sign: XXSigns = None) -> Circuit:
     positive).  An XX whose angle has the unavailable sign is emitted as
     XX(-chi) conjugated by Z on the first wire.
     """
-    expanded: list[Gate] = []
-    for g in circuit.gates:
-        if g.kind is GateKind.SWAP:
-            w0, w1 = g.wires
-            expanded += [CNOT(w0, w1), CNOT(w1, w0), CNOT(w0, w1)]
-        elif g.kind in (GateKind.CRK, GateKind.CRKINV):
-            expanded += _crk_block(g)
-        else:
-            expanded.append(g)
     lowered: list[Gate] = []
-
-    def emit_xx(w0: int, w1: int, chi: float) -> None:
-        if chi * _pair_sign(xx_sign, w0, w1) < 0:
-            lowered.append(U1(w0, _PZ))
-            lowered.append(XX(w0, w1, -chi))
-            lowered.append(U1(w0, _PZ))
-        else:
-            lowered.append(XX(w0, w1, chi))
-
-    for g in expanded:
-        if g.kind is GateKind.CNOT:
-            c, t = g.wires
-            lowered.append(U1(c, _CNOT_PRE_C))
-            emit_xx(c, t, math.pi / 4)
-            lowered += [U1(c, _CNOT_POST_C), U1(t, _CNOT_POST_T)]
-        elif g.kind is GateKind.CV:
-            c, t = g.wires
-            lowered.append(U1(c, _CV_PRE_C))
-            emit_xx(c, t, math.pi / 8)
-            lowered += [U1(c, _CV_POST_C), U1(t, _CV_POST_T)]
-        elif g.kind is GateKind.CVINV:
-            c, t = g.wires
-            lowered.append(U1(c, _CVINV_PRE_C))
-            emit_xx(c, t, math.pi / 8)
-            lowered += [U1(c, _CVINV_POST_C), U1(t, _CVINV_POST_T)]
-        elif g.kind is GateKind.XX:
-            emit_xx(g.wires[0], g.wires[1], g.params[0])
-        elif g.kind in _SINGLE_KINDS:
-            lowered.append(g)
-        else:
-            raise ValueError(f"cannot lower {g.kind.value} to the native set")
+    _walk(circuit, xx_sign, False,
+          single=lambda w, m: lowered.append(U1(w, m)),
+          source_single=lowered.append, native_xx=lowered.append)
     return Circuit(circuit.width, lowered, circuit.layout)
 
 
@@ -227,12 +286,14 @@ class NativeProgram:
     global_phase: float = 0.0
 
     def __post_init__(self) -> None:
+        r, xx, width = GateKind.R, GateKind.XX, self.width
         for g in self.gates:
-            if g.kind not in (GateKind.R, GateKind.XX):
+            if g.kind is not r and g.kind is not xx:
                 raise ValueError(f"native programs hold only R and XX gates, "
                                  f"got {g.kind.value}")
-            if any(w >= self.width for w in g.wires):
-                raise ValueError(f"gate wires {g.wires} exceed width {self.width}")
+            for w in g.wires:
+                if w >= width:
+                    raise ValueError(f"gate wires {g.wires} exceed width {width}")
 
     def __len__(self) -> int:
         return len(self.gates)
@@ -260,46 +321,79 @@ class NativeProgram:
 _IDENTITY_TOL = 1e-12
 
 
-def _flush(pending: np.ndarray | None, wire: int,
-           out: list[Gate]) -> float:
-    """Emit a merged single-qubit unitary as <=2 R gates; returns its phase."""
-    if pending is None:
-        return 0.0
+def _flush(pending: np.ndarray, wire: int) -> tuple[tuple[Gate, ...], float]:
+    """A merged single-qubit unitary as <=2 R gates, and its phase."""
     alpha = cmath.phase(pending[0, 0]) if abs(pending[0, 0]) > 0.5 \
         else cmath.phase(pending[1, 1])
     if np.abs(pending - cmath.exp(1j * alpha) * _I2).max() <= _IDENTITY_TOL:
-        return alpha  # identity up to phase: drop the rotations entirely
+        return (), alpha  # identity up to phase: drop the rotations entirely
     p = decompose_unitary(pending)
-    out.append(R(wire, 2 * p.b + math.pi, p.a - p.c - math.pi / 2))
-    out.append(R(wire, -math.pi, -p.c - math.pi / 2))
-    return p.d
+    return (R(wire, 2 * p.b + math.pi, p.a - p.c - math.pi / 2),
+            R(wire, -math.pi, -p.c - math.pi / 2)), p.d
+
+
+class _Merger:
+    """Step 4: the pending product on each wire and the program so far.
+
+    Each distinct (product, wire) goes through ``_flush`` once per merger;
+    the same bytes always give the same gates and phase.
+    """
+
+    __slots__ = ("pending", "out", "phase", "flushed")
+
+    def __init__(self) -> None:
+        self.pending: dict[int, np.ndarray] = {}
+        self.out: list[Gate] = []
+        self.phase = 0.0
+        self.flushed: dict[tuple[bytes, int], tuple[tuple[Gate, ...], float]] = {}
+
+    def single(self, wire: int, matrix: np.ndarray) -> None:
+        prev = self.pending.get(wire)
+        self.pending[wire] = matrix if prev is None else matrix @ prev
+
+    def gate(self, gate: Gate) -> None:
+        self.single(gate.wires[0], gate_matrix(gate))
+
+    def xx(self, gate: Gate) -> None:
+        for w in gate.wires:
+            if w in self.pending:
+                self.flush(w)
+        self.out.append(gate)
+
+    def flush(self, wire: int) -> None:
+        matrix = self.pending.pop(wire)
+        key = (matrix.tobytes(), wire)
+        hit = self.flushed.get(key)
+        if hit is None:
+            hit = self.flushed[key] = _flush(matrix, wire)
+        self.out += hit[0]
+        self.phase += hit[1]
+
+    def program(self, width: int) -> NativeProgram:
+        for w in sorted(self.pending):
+            self.flush(w)
+        return NativeProgram(width, tuple(self.out),
+                             float(math.remainder(self.phase, 2 * math.pi)))
 
 
 def merge_singles(circuit: Circuit) -> NativeProgram:
     """Collapse runs of single-qubit gates between XX gates into <=2 R each."""
-    pending: dict[int, np.ndarray | None] = {}
-    out: list[Gate] = []
-    phase = 0.0
+    merger = _Merger()
     for g in circuit.gates:
         if g.kind in _SINGLE_KINDS:
-            w = g.wires[0]
-            m = gate_matrix(g)
-            prev = pending.get(w)
-            pending[w] = m if prev is None else m @ prev
+            merger.gate(g)
         elif g.kind is GateKind.XX:
-            for w in g.wires:
-                phase += _flush(pending.pop(w, None), w, out)
-            out.append(g)
+            merger.xx(g)
         else:
             raise ValueError(f"merge_singles expects only XX and single-qubit "
                              f"gates, got {g.kind.value}")
-    for w in sorted(pending):
-        phase += _flush(pending[w], w, out)
-    return NativeProgram(circuit.width, tuple(out),
-                         float(math.remainder(phase, 2 * math.pi)))
+    return merger.program(circuit.width)
 
 
 def transpile(circuit: Circuit, xx_sign: XXSigns = None) -> NativeProgram:
-    """Run the four lowering steps; R gates pass through untouched and XX
-    gates are realigned to the available chi sign (default positive)."""
-    return merge_singles(lower_two_qubit(lower_toffoli(circuit), xx_sign))
+    """Run the four lowering steps as one pass; XX gates are realigned to
+    the available chi sign (default positive)."""
+    merger = _Merger()
+    _walk(circuit, xx_sign, True, single=merger.single,
+          source_single=merger.gate, native_xx=merger.xx)
+    return merger.program(circuit.width)

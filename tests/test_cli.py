@@ -91,6 +91,24 @@ def test_simulate_rejects_non_coprime(capsys):
     assert code == 1 and "coprime" in err
 
 
+@pytest.mark.parametrize("shots", ["0", "-5"])
+def test_simulate_rejects_non_positive_shots(capsys, shots):
+    code, _, err = run(capsys, "simulate", "--N", "15", "--y", "2",
+                       "--shots", shots)
+    assert code == 1 and "--shots must be >= 1" in err
+
+
+def test_simulate_rejects_modulus_beyond_batch_engine(capsys):
+    code, _, err = run(capsys, "simulate", "--N", "257", "--y", "3")
+    assert code == 1 and "N = 257 with n_x = 20" in err
+
+
+def test_dense_cap_flag_is_gone(capsys):
+    code, _, err = run(capsys, "simulate", "--N", "5", "--y", "1", "--nx", "4",
+                       "--dense-cap", "20")
+    assert code == 1 and "unrecognized arguments: --dense-cap" in err
+
+
 def test_transpile_file_roundtrip(tmp_path, capsys):
     source = tmp_path / "sum.qc"
     run(capsys, "build", "--template", "SUM", "-o", str(source))

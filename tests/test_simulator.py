@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from ionshor import simulator
 from ionshor.circuit import CNOT, H, R, SWAP, X, Circuit, RegisterLayout
 from ionshor.simulator import (
     Distribution, basis_state, circuit_unitary, measure_probs,
@@ -96,6 +97,26 @@ def test_batch_matches_single_input_engine(rng):
         batch = simulate_reversible_batch(c, inputs)
         singles = [simulate_reversible(c, int(b)) for b in inputs]
         assert list(map(int, batch)) == singles
+
+
+def test_batch_accepts_64_wires():
+    c = Circuit(64, [X(63), CNOT(63, 2)])
+    assert list(map(int, simulate_reversible_batch(c, [0]))) == [(1 << 63) | 4]
+
+
+def test_batch_rejects_more_than_64_wires():
+    # uint64 basis words would silently drop wires 64 and up
+    with pytest.raises(ValueError, match="width 70"):
+        simulate_reversible_batch(Circuit(70, [X(66), CNOT(66, 2)]), [0])
+
+
+def test_order_finding_distribution_rejects_wide_circuits(monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("circuit built before the width check")
+    monkeypatch.setattr(simulator.templates, "modular_exponentiation", unreachable)
+    # N = 257 has n = 9, so n_x = 20 gives 20 + 5*9 + 2 = 67 wires
+    with pytest.raises(ValueError, match=r"N = 257 with n_x = 20 needs 67 wires"):
+        order_finding_distribution(257, 3, 20)
 
 
 def test_order_finding_distribution_trivial_base():
