@@ -10,8 +10,13 @@ from dataclasses import dataclass
 __all__ = [
     "BezoutSolution", "gcd", "diophantine_equation",
     "modular_multiplicative_inverse", "mod_pow", "precompute_multipliers",
-    "order_candidates", "is_perfect_power",
+    "order_candidates", "is_perfect_power", "is_prime",
 ]
+
+# The first twelve primes as Miller-Rabin bases decide primality exactly for
+# every N below 3.18e23 (Sorenson and Webster, 2015).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_LIMIT = 318_665_857_834_031_151_167_461
 
 
 @dataclass(frozen=True, slots=True)
@@ -113,13 +118,51 @@ def order_candidates(outcome: int, n_x: int, N: int) -> list[int]:
     return candidates
 
 
+def _integer_root(N: int, b: int) -> int:
+    """floor(N ** (1/b)) for N >= 1, by Newton's method on integers."""
+    x = 1 << -(-N.bit_length() // b)  # 2**ceil(bits/b) > N ** (1/b)
+    while True:
+        nxt = ((b - 1) * x + N // x ** (b - 1)) // b
+        if nxt >= x:
+            return x
+        x = nxt
+
+
 def is_perfect_power(N: int) -> tuple[int, int] | None:
     """Smallest-exponent representation (a, b) with a**b = N, b >= 2, if any."""
     if N < 2:
         raise ValueError(f"perfect-power test expects N >= 2, got {N}")
     for b in range(2, N.bit_length() + 1):
-        a = round(N ** (1.0 / b))
-        for cand in (a - 1, a, a + 1):
-            if cand >= 2 and cand ** b == N:
-                return cand, b
+        a = _integer_root(N, b)
+        if a >= 2 and a ** b == N:
+            return a, b
     return None
+
+
+def is_prime(N: int) -> bool:
+    """Deterministic Miller-Rabin test, exact for every N below 3.18e23.
+
+    Larger N are rejected rather than answered probabilistically.
+    """
+    if N >= _MR_LIMIT:
+        raise ValueError(f"primality test is exact only below {_MR_LIMIT}, "
+                         f"got N = {N}")
+    if N < 2:
+        return False
+    for p in _MR_BASES:
+        if N % p == 0:
+            return N == p
+    d, s = N - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, N)
+        if x in (1, N - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % N
+            if x == N - 1:
+                break
+        else:
+            return False
+    return True

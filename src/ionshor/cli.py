@@ -97,9 +97,8 @@ def _cmd_simulate(args) -> None:
     dist = simulator.order_finding_distribution(args.N, args.y, n_x)
     if args.shots is not None:
         rng = np.random.default_rng(args.seed)
-        outcomes = np.array([k for k, _ in dist.items()])
-        probs = np.array([p for _, p in dist.items()])
-        draws = rng.choice(outcomes, size=args.shots, p=probs / probs.sum())
+        outcomes, probs = dist.sampling_arrays()
+        draws = rng.choice(outcomes, size=args.shots, p=probs)
         values, counts = np.unique(draws, return_counts=True)
         dist = simulator.Distribution(
             {int(v): float(c) / args.shots for v, c in zip(values, counts)})

@@ -12,7 +12,9 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .classical import gcd, is_perfect_power, mod_pow, order_candidates
+from .classical import (
+    gcd, is_perfect_power, is_prime, mod_pow, order_candidates,
+)
 from .simulator import order_finding_distribution
 
 __all__ = ["ShorOutcome", "find_order", "factor"]
@@ -60,9 +62,7 @@ def _sample_order(y: int, N: int, n_x: int, max_samples: int,
                   rng: np.random.Generator):
     """Returns (order, winning outcome, all candidate denominators seen)."""
     dist = order_finding_distribution(N, y, n_x)
-    outcomes = np.array([k for k, _ in dist.items()])
-    probs = np.array([p for _, p in dist.items()])
-    probs = probs / probs.sum()
+    outcomes, probs = dist.sampling_arrays()
     seen: list[int] = []
     for _ in range(max_samples):
         outcome = int(rng.choice(outcomes, p=probs))
@@ -92,9 +92,10 @@ def find_order(y: int, N: int, n_x: int | None = None, max_samples: int = 10,
 def factor(N: int, seed: int | None = None, max_trials: int = 20) -> ShorOutcome:
     """One factorization attempt: shortcuts, then order-finding trials.
 
-    Even N and perfect powers are dispatched classically.  Each trial picks
-    a random base x; a shared divisor ends the run immediately, otherwise
-    the simulated order r of x is used as in the period-finding reduction
+    Even N, perfect powers and primes (no factor, no trial) are dispatched
+    classically.  Each trial picks a random base x; a shared divisor ends
+    the run immediately, otherwise the simulated order r of x is used as in
+    the period-finding reduction
     (r even and x^{r/2} != -1 gives a factor through gcd(x^{r/2} +- 1, N)).
     Runs with the same seed are bit-reproducible.
     """
@@ -105,7 +106,7 @@ def factor(N: int, seed: int | None = None, max_trials: int = 20) -> ShorOutcome
     power = is_perfect_power(N) if N >= 4 else None
     if power is not None:
         return ShorOutcome(N=N, factor=power[0])
-    if N <= 3:  # prime; no base in [2, N-1] to try
+    if is_prime(N):
         return ShorOutcome(N=N, factor=None)
     rng = np.random.default_rng(seed)
     n_x = 2 * N.bit_length() + 2

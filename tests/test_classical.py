@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ionshor.classical import (
-    BezoutSolution, diophantine_equation, gcd, is_perfect_power, mod_pow,
-    modular_multiplicative_inverse, order_candidates, precompute_multipliers,
+    BezoutSolution, diophantine_equation, gcd, is_perfect_power, is_prime,
+    mod_pow, modular_multiplicative_inverse, order_candidates, precompute_multipliers,
 )
 
 
@@ -158,3 +158,36 @@ def test_is_perfect_power_small_range():
 def test_is_perfect_power_recognizes_powers(a, b):
     base, exp = is_perfect_power(a ** b)
     assert base ** exp == a ** b
+
+
+def test_is_perfect_power_exact_beyond_float_precision():
+    # a float cube root of a 180-bit N is off by far more than 1, and N**0.5
+    # overflows a float once N has more than 1024 bits
+    for a in (2 ** 40 + 15, 2 ** 60 + 33):
+        assert is_perfect_power(a ** 3) == (a, 3)
+        assert is_perfect_power(a ** 3 - 1) is None
+        assert is_perfect_power(a ** 3 + 1) is None
+    assert is_perfect_power(7 ** 401) == (7, 401)
+    assert is_perfect_power(3 ** 700) == (3 ** 350, 2)
+
+
+def brute_is_prime(N: int) -> bool:
+    return N >= 2 and all(N % p for p in range(2, math.isqrt(N) + 1))
+
+
+def test_is_prime_matches_trial_division():
+    for N in range(10 ** 4):
+        assert is_prime(N) == brute_is_prime(N), N
+
+
+def test_is_prime_strong_pseudoprimes_and_large_primes():
+    # strong pseudoprimes to every prime base up to 17 and up to 23
+    assert not is_prime(10670053 * 32010157)
+    assert not is_prime(149491 * 747451 * 34233211)
+    assert is_prime(2 ** 61 - 1) and is_prime(2 ** 31 - 1)
+    assert not is_prime((2 ** 19 - 1) * (2 ** 31 - 1))
+
+
+def test_is_prime_rejects_numbers_beyond_its_exact_range():
+    with pytest.raises(ValueError, match="exact only below"):
+        is_prime(2 ** 80)

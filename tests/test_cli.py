@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from ionshor import simulator
 from ionshor.circuit import parse
 from ionshor.cli import main
 
@@ -101,6 +102,14 @@ def test_simulate_rejects_non_positive_shots(capsys, shots):
 def test_simulate_rejects_modulus_beyond_batch_engine(capsys):
     code, _, err = run(capsys, "simulate", "--N", "257", "--y", "3")
     assert code == 1 and "N = 257 with n_x = 20" in err
+
+
+def test_simulate_rejects_n_x_beyond_memory_cap(capsys, monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("circuit built before the n_x check")
+    monkeypatch.setattr(simulator.templates, "modular_exponentiation", unreachable)
+    code, _, err = run(capsys, "simulate", "--N", "15", "--y", "7", "--nx", "40")
+    assert code == 1 and "n_x = 40" in err
 
 
 def test_dense_cap_flag_is_gone(capsys):

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from ionshor import shor
 from ionshor.classical import mod_pow
 from ionshor.shor import ShorOutcome, factor, find_order
 
@@ -54,10 +55,14 @@ def test_factor_fifteen_and_twentyone():
     assert out21.factor in (3, 7)
 
 
-def test_factor_prime_reports_no_factor():
-    out = factor(7, seed=1, max_trials=5)
-    assert out.factor is None
-    assert out.trials == 5
+def test_factor_prime_reports_no_factor(monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("a prime was sent to order finding")
+    monkeypatch.setattr(shor, "order_finding_distribution", unreachable)
+    for N in (3, 7, 29, 251):
+        out = factor(N, seed=1, max_trials=5)
+        assert out.factor is None
+        assert out.trials == 0
 
 
 def test_factor_two_has_no_nontrivial_factor():

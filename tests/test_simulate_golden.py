@@ -1,0 +1,59 @@
+"""Pinned CLI output of ``simulate`` and ``factor``.
+
+The digests were taken from the engine that kept one bool row per wire and
+checked the circuit with one ``mod_pow`` call per input; the bit-sliced
+engine and the vectorised reference must reproduce them byte for byte,
+including the seeded ``--shots`` draws and the factor trial traces.
+"""
+import hashlib
+
+import pytest
+
+from ionshor.cli import main
+
+SIMULATE_GOLDEN = [
+    # (N, y, extra argv, sha256 of stdout)
+    (15, 7, (), "1fe10a044374fee93a709e246177bf27718fd22045b480044b168cca1fa61a7d"),
+    (15, 7, ("--format", "json"),
+     "c68154f4468e1e2147aad94f565952a867412921121a2ec4f07f0a860f53f87b"),
+    (15, 7, ("--shots", "1000", "--seed", "5"),
+     "12838a95fb1ac112be3b29cfa71f0ee13ffcecc76031835361f0a2ea4f641c81"),
+    (21, 5, (), "b5a6e2f3a10bd4357b934e4d9094f713131d66f9dd5a6ad35270808d571e04ea"),
+    (21, 5, ("--format", "json"),
+     "0545ea59aefb75219ba851c499014276f0e98ab0522e19acfa140ac0e5031337"),
+    (21, 5, ("--shots", "1000", "--seed", "5"),
+     "440f355332097435c7ef6e3ea7ea1f5efd3fd9f0b6305a64e1240981c8d961a7"),
+    (33, 2, (), "3ab2859eaf0f9521b2d738c2eb32d8f84f3e396869ae29b9f33c603637965938"),
+    (33, 2, ("--format", "json"),
+     "16b259b8b07e637348de58ddd2ff49fb081e214f58d4dad6a3e22f86d868fd81"),
+    (33, 2, ("--shots", "1000", "--seed", "5"),
+     "566f328890036ff5b9128ce8db0f6fd804c3897bacdd8f368c8d549565435c08"),
+]
+
+FACTOR_GOLDEN = [
+    # (N, sha256 of `factor --N N --seed 1` stdout)
+    (21, "31f0ccaafff7ab0775a9f93b0d57814001eafce151d632aceca0269d2f2b3426"),
+    (33, "fdddc7c40d9e73db9cce28bd3379e0d8293c6b358b05e0f630ec042bd5309f21"),
+    (91, "469464aa17cdcdb426dc5ac2bbc4e5c3b66d1b914b20564ba0bbf6c0d9e14266"),
+]
+
+
+def _stdout_digest(capsys, *argv: str) -> str:
+    code = main(list(argv))
+    out = capsys.readouterr().out
+    assert code == 0
+    return hashlib.sha256(out.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("N,y,extra,digest", SIMULATE_GOLDEN,
+                         ids=[f"N{N}-y{y}-{'-'.join(e) or 'csv'}"
+                              for N, y, e, _ in SIMULATE_GOLDEN])
+def test_simulate_matches_pinned_output(capsys, N, y, extra, digest):
+    assert _stdout_digest(capsys, "simulate", "--N", str(N), "--y", str(y),
+                          *extra) == digest
+
+
+@pytest.mark.parametrize("N,digest", FACTOR_GOLDEN,
+                         ids=[f"N{N}" for N, _ in FACTOR_GOLDEN])
+def test_factor_matches_pinned_output(capsys, N, digest):
+    assert _stdout_digest(capsys, "factor", "--N", str(N), "--seed", "1") == digest

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from ionshor import simulator
-from ionshor.circuit import CNOT, H, R, SWAP, X, Circuit, RegisterLayout
+from ionshor.circuit import (
+    CNOT, FREDKIN, H, R, SWAP, TOFFOLI, X, Circuit, RegisterLayout,
+)
 from ionshor.simulator import (
     Distribution, basis_state, circuit_unitary, measure_probs,
     order_finding_distribution, simulate_dense, simulate_reversible,
@@ -117,6 +119,94 @@ def test_order_finding_distribution_rejects_wide_circuits(monkeypatch):
     # N = 257 has n = 9, so n_x = 20 gives 20 + 5*9 + 2 = 67 wires
     with pytest.raises(ValueError, match=r"N = 257 with n_x = 20 needs 67 wires"):
         order_finding_distribution(257, 3, 20)
+
+
+def _assert_batch_matches_singles(circuit, inputs):
+    batch = simulate_reversible_batch(circuit, np.asarray(inputs, dtype=np.uint64))
+    assert batch.dtype == np.uint64 and batch.shape == (len(inputs),)
+    assert [int(b) for b in batch] == \
+        [simulate_reversible(circuit, int(b)) for b in inputs]
+
+
+@pytest.mark.parametrize("count", [0, 1, 63, 64, 65, 1000])
+def test_batch_input_counts_around_word_boundaries(rng, count):
+    # X gates turn the zero padding lanes of the last word to ones; none of
+    # that may reach the outputs
+    for _ in range(5):
+        c = random_circuit(rng, 9, 40, classical_only=True)
+        c = Circuit(9, [X(w) for w in range(9)] + list(c.gates))
+        _assert_batch_matches_singles(c, rng.integers(0, 1 << 9, size=count))
+
+
+def test_batch_duplicate_inputs(rng):
+    c = random_circuit(rng, 7, 30, classical_only=True)
+    inputs = np.repeat(rng.integers(0, 1 << 7, size=20), 7)
+    rng.shuffle(inputs)
+    _assert_batch_matches_singles(c, inputs)
+
+
+def test_batch_swap_and_fredkin_heavy_circuits(rng):
+    for _ in range(20):
+        width = int(rng.integers(3, 10))
+        gates = []
+        for _ in range(60):
+            a, b, c = (int(w) for w in rng.choice(width, size=3, replace=False))
+            roll = rng.random()
+            if roll < 0.4:
+                gates.append(SWAP(a, b))
+            elif roll < 0.8:
+                gates.append(FREDKIN(a, b, c))
+            elif roll < 0.9:
+                gates.append(TOFFOLI(a, b, c))
+            else:
+                gates.append(X(a))
+        _assert_batch_matches_singles(
+            Circuit(width, gates), rng.integers(0, 1 << width, size=130))
+
+
+def test_batch_64_wires_with_bit_63_set(rng):
+    c = random_circuit(rng, 64, 200, classical_only=True)
+    c = Circuit(64, list(c.gates) + [CNOT(63, 0), SWAP(63, 5), FREDKIN(5, 63, 1)])
+    inputs = rng.integers(0, 1 << 63, size=100, dtype=np.uint64) | np.uint64(1 << 63)
+    _assert_batch_matches_singles(c, list(inputs) + [2 ** 64 - 1, 1 << 63])
+
+
+def test_batch_rejects_non_classical_gate_before_any_work():
+    class Untouchable:
+        def __array__(self, *args, **kwargs):
+            raise AssertionError("inputs read before the gate check")
+
+    with pytest.raises(ValueError, match="gate 2 is H"):
+        simulate_reversible_batch(Circuit(3, [X(0), CNOT(0, 1), H(2)]), Untouchable())
+
+
+def test_order_finding_distribution_caps_n_x_before_building(monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("circuit built before the n_x check")
+    monkeypatch.setattr(simulator.templates, "modular_exponentiation", unreachable)
+    # 40 + 5*4 + 2 = 62 wires fit the engine; 2**40 inputs do not fit memory
+    with pytest.raises(ValueError, match=r"n_x = 40 exceeds .* cap of 20"):
+        order_finding_distribution(15, 7, 40)
+    with pytest.raises(ValueError, match=r"n_x = 21"):
+        order_finding_distribution(15, 7, simulator.NX_CAP + 1)
+
+
+@pytest.mark.parametrize("fault", ["ancilla", "z", "x", "N"])
+def test_order_finding_distribution_rejects_a_faulty_circuit(monkeypatch, fault):
+    build = simulator.templates.modular_exponentiation
+
+    def faulty(params):
+        circuit = build(params)
+        layout = params.layout
+        wire = {"ancilla": layout.b[-1], "z": layout.z[0],
+                "x": layout.x[3], "N": layout.N[1]}[fault]
+        return Circuit(circuit.width,
+                       list(circuit.gates) + [CNOT(layout.x[1], wire)], layout)
+
+    monkeypatch.setattr(simulator.templates, "modular_exponentiation", faulty)
+    simulator._order_finding_probs.cache_clear()
+    with pytest.raises(RuntimeError, match="disagrees"):
+        order_finding_distribution(11, 2, 7)
 
 
 def test_order_finding_distribution_trivial_base():
