@@ -27,10 +27,6 @@ __all__ = [
 
 UNITARY_TOL = 1e-10
 
-_ARITY_1 = frozenset({"X", "H", "U1", "R"})
-_ARITY_3 = frozenset({"TOFFOLI", "FREDKIN"})
-_N_PARAMS = {"CRK": 1, "CRKINV": 1, "R": 2, "XX": 1, "U1": 8}
-
 
 class GateKind(Enum):
     """Closed gate set: elementary gates plus the two trapped-ion natives."""
@@ -49,17 +45,55 @@ class GateKind(Enum):
     R = "R"              # native single-qubit rotation R(theta, phi)
     XX = "XX"            # native Molmer-Sorensen XX(chi)
 
+    # Members are singletons compared by identity, so the identity hash is
+    # equivalent to Enum's and spares a Python call on every table lookup.
+    __hash__ = object.__hash__
+
     @property
     def arity(self) -> int:
-        if self.value in _ARITY_1:
-            return 1
-        if self.value in _ARITY_3:
-            return 3
-        return 2
+        return _SHAPE[self][1]
 
     @property
     def n_params(self) -> int:
-        return _N_PARAMS.get(self.value, 0)
+        return _SHAPE[self][2]
+
+
+def _check_crk(name: str, params: tuple) -> None:
+    k = params[0]
+    if not (k >= 1 and k % 1 == 0):
+        raise ValueError(f"CRK order k must be a positive integer, got {k}")
+
+
+def _check_finite(name: str, params: tuple) -> None:
+    if not all(map(math.isfinite, params)):
+        raise ValueError(f"{name} params must be finite, got {params}")
+
+
+def _check_u1(name: str, params: tuple) -> None:
+    _check_finite(name, params)
+    m = _u1_matrix(params)
+    err = np.abs(m.conj().T @ m - np.eye(2)).max()
+    if not err <= UNITARY_TOL:
+        raise ValueError(f"U1 matrix is not unitary (deviation {err:.3g})")
+
+
+# kind -> (name, arity, number of params, params check or None): the one
+# table Gate validation and parse read, without Enum's value descriptor.
+_SHAPE = {kind: (kind.value, arity, n_params, check)
+          for kind, arity, n_params, check in (
+              (GateKind.X, 1, 0, None),
+              (GateKind.H, 1, 0, None),
+              (GateKind.CNOT, 2, 0, None),
+              (GateKind.SWAP, 2, 0, None),
+              (GateKind.TOFFOLI, 3, 0, None),
+              (GateKind.FREDKIN, 3, 0, None),
+              (GateKind.CRK, 2, 1, _check_crk),
+              (GateKind.CRKINV, 2, 1, _check_crk),
+              (GateKind.CV, 2, 0, None),
+              (GateKind.CVINV, 2, 0, None),
+              (GateKind.U1, 1, 8, _check_u1),
+              (GateKind.R, 1, 2, _check_finite),
+              (GateKind.XX, 2, 1, _check_finite))}
 
 
 @dataclass(frozen=True, slots=True)
@@ -68,7 +102,8 @@ class Gate:
 
     Params by kind: CRK/CRKINV hold (k,) with integer k >= 1; R holds
     (theta, phi); XX holds (chi,); U1 holds the 2x2 matrix flattened to
-    (re00, im00, re01, im01, re10, im10, re11, im11).
+    (re00, im00, re01, im01, re10, im10, re11, im11).  R, XX and U1 params
+    must be finite.
     """
 
     kind: GateKind
@@ -76,25 +111,19 @@ class Gate:
     params: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
-        if len(self.wires) != self.kind.arity:
-            raise ValueError(
-                f"{self.kind.value} acts on {self.kind.arity} wires, got {self.wires}")
-        if len(set(self.wires)) != len(self.wires):
-            raise ValueError(f"{self.kind.value} wires must be distinct, got {self.wires}")
-        if any(w < 0 or w != int(w) for w in self.wires):
-            raise ValueError(f"wires must be non-negative integers, got {self.wires}")
-        if len(self.params) != self.kind.n_params:
-            raise ValueError(
-                f"{self.kind.value} takes {self.kind.n_params} params, got {len(self.params)}")
-        if self.kind in (GateKind.CRK, GateKind.CRKINV):
-            k = self.params[0]
-            if k != int(k) or k < 1:
-                raise ValueError(f"CRK order k must be a positive integer, got {k}")
-        if self.kind is GateKind.U1:
-            m = _u1_matrix(self.params)
-            err = np.abs(m.conj().T @ m - np.eye(2)).max()
-            if err > UNITARY_TOL:
-                raise ValueError(f"U1 matrix is not unitary (deviation {err:.3g})")
+        name, arity, n_params, check = _SHAPE[self.kind]
+        wires, params = self.wires, self.params
+        if len(wires) != arity:
+            raise ValueError(f"{name} acts on {arity} wires, got {wires}")
+        if arity > 1 and len(set(wires)) != arity:
+            raise ValueError(f"{name} wires must be distinct, got {wires}")
+        for w in wires:
+            if w < 0 or w % 1:  # w % 1 is NaN, so true, for a non-finite w
+                raise ValueError(f"wires must be non-negative integers, got {wires}")
+        if len(params) != n_params:
+            raise ValueError(f"{name} takes {n_params} params, got {len(params)}")
+        if check is not None:
+            check(name, params)
 
 
 def _u1_matrix(params: tuple[float, ...]) -> np.ndarray:
@@ -420,13 +449,21 @@ def parse(text: str) -> Circuit:
 
     Rejects unknown gate names, out-of-range wires, wrong arity, and
     malformed numbers, each with a line-numbered diagnostic.  ``#`` starts
-    a comment.
+    a comment.  Each distinct gate line is parsed once per call, and its
+    repeats share that Gate.
     """
     width = None
     gates: list[Gate] = []
+    # Line body -> its Gate, for lines that parsed.  The width is fixed after
+    # the header, so a repeat has passed the range check too.
+    parsed: dict[str, Gate] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
+            continue
+        gate = parsed.get(line)
+        if gate is not None:
+            gates.append(gate)
             continue
         tokens = line.split()
         if width is None:
@@ -442,20 +479,20 @@ def parse(text: str) -> Circuit:
         kind = _KIND_BY_NAME.get(tokens[0])
         if kind is None:
             raise ParseError(f"line {lineno}: unknown gate {tokens[0]!r}")
-        expected = 1 + kind.arity + kind.n_params
-        if len(tokens) != expected:
+        name, arity, n_params, _ = _SHAPE[kind]
+        if len(tokens) != 1 + arity + n_params:
             raise ParseError(
-                f"line {lineno}: {kind.value} expects {kind.arity} wires and "
-                f"{kind.n_params} params, got {len(tokens) - 1} fields")
+                f"line {lineno}: {name} expects {arity} wires and "
+                f"{n_params} params, got {len(tokens) - 1} fields")
         try:
-            wires = tuple(int(t) for t in tokens[1:1 + kind.arity])
+            wires = tuple(int(t) for t in tokens[1:1 + arity])
         except ValueError:
             raise ParseError(f"line {lineno}: malformed wire index") from None
         try:
             if kind in (GateKind.CRK, GateKind.CRKINV):
                 params: tuple[float, ...] = (int(tokens[-1]),)
             else:
-                params = tuple(float(t) for t in tokens[1 + kind.arity:])
+                params = tuple(float(t) for t in tokens[1 + arity:])
         except ValueError:
             raise ParseError(f"line {lineno}: malformed numeric parameter") from None
         try:
@@ -466,6 +503,7 @@ def parse(text: str) -> Circuit:
             raise ParseError(
                 f"line {lineno}: wire out of range for width {width}: {wires}")
         gates.append(gate)
+        parsed[line] = gate
     if width is None:
         raise ParseError("line 1: missing 'qubits <width>' header")
     return Circuit(width, gates)

@@ -157,6 +157,8 @@ def _cmd_factor(args) -> None:
 
 def _cmd_decompose_u(args) -> None:
     v = args.entries
+    if not np.isfinite(v).all():
+        raise CliError(f"decompose-u entries must be finite, got {v}")
     matrix = [[complex(v[0], v[1]), complex(v[2], v[3])],
               [complex(v[4], v[5]), complex(v[6], v[7])]]
     p = transpiler.decompose_unitary(matrix)

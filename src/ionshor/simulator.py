@@ -161,8 +161,7 @@ def _compile(circuit: Circuit) -> list[tuple[int, int, int, int]]:
 
     Rejects the first non-classical gate by position and kind.
     """
-    # Local names: enum class attribute lookups and enum hashing are slow
-    # per gate.
+    # Local names: enum class attribute lookups are slow per gate.
     x, cnot, toffoli, swap, fredkin = (GateKind.X, GateKind.CNOT,
                                        GateKind.TOFFOLI, GateKind.SWAP,
                                        GateKind.FREDKIN)
@@ -266,8 +265,9 @@ class Distribution:
     def sampling_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """Outcomes in increasing order and their probabilities rescaled to
         sum to exactly 1, as arrays for ``Generator.choice``."""
-        outcomes = np.array([k for k, _ in self.items()])
-        probs = np.array([p for _, p in self.items()])
+        keys = sorted(self.probs)
+        outcomes = np.array(keys)
+        probs = np.array([self.probs[k] for k in keys])
         return outcomes, probs / probs.sum()
 
     def top(self, count: int) -> list[tuple[int, float]]:

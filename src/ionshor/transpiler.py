@@ -250,7 +250,7 @@ def decompose_unitary(U) -> UnitaryParams:
     if U.shape != (2, 2):
         raise ValueError(f"expected a 2x2 matrix, got shape {U.shape}")
     err = np.abs(U.conj().T @ U - _I2).max()
-    if err > 1e-10:
+    if not err <= 1e-10:  # also rejects NaN
         raise ValueError(f"matrix is not unitary (deviation {err:.3g})")
     abs00, abs01 = abs(U[0, 0]), abs(U[0, 1])
     # atan2 evaluates arccos|u00| without the endpoint ill-conditioning,
@@ -288,9 +288,10 @@ class NativeProgram:
     def __post_init__(self) -> None:
         r, xx, width = GateKind.R, GateKind.XX, self.width
         for g in self.gates:
-            if g.kind is not r and g.kind is not xx:
+            kind = g.kind
+            if kind is not r and kind is not xx:
                 raise ValueError(f"native programs hold only R and XX gates, "
-                                 f"got {g.kind.value}")
+                                 f"got {kind.value}")
             for w in g.wires:
                 if w >= width:
                     raise ValueError(f"gate wires {g.wires} exceed width {width}")
@@ -303,19 +304,50 @@ class NativeProgram:
         return Circuit(self.width, self.gates)
 
     def to_text(self) -> str:
-        lines = [f"qubits {self.width}"]
-        for g in self.gates:
-            fields = [g.kind.value, *map(str, g.wires)]
-            fields += [f"{p:.12g}" for p in g.params]
-            lines.append(" ".join(fields))
+        """A ``qubits <width>`` header, one gate per line with params to 12
+        significant digits, and a ``# global_phase`` trailer.
+
+        Each distinct gate object is formatted once per call.
+        """
+        lines = [f"qubits {self.width}", *_render_once(self.gates, _text_line)]
         lines.append(f"# global_phase {self.global_phase:.12g}")
         return "\n".join(lines) + "\n"
 
     def to_json(self) -> str:
-        gates = [{"gate": g.kind.value, "wires": list(g.wires),
-                  "params": list(g.params)} for g in self.gates]
-        return json.dumps({"qubits": self.width, "gates": gates,
-                           "global_phase": self.global_phase})
+        """The object {"qubits", "gates": [{"gate", "wires", "params"}, ...],
+        "global_phase"} exactly as ``json.dumps`` writes it.
+
+        Each distinct gate object is encoded once per call, and the
+        fragments are joined with the separator ``json.dumps`` uses.
+        """
+        gates = ", ".join(_render_once(self.gates, _json_object))
+        return (f'{{"qubits": {json.dumps(self.width)}, "gates": [{gates}], '
+                f'"global_phase": {json.dumps(self.global_phase)}}}')
+
+
+def _render_once(gates: tuple[Gate, ...], render: Callable[[Gate], str]) -> list[str]:
+    """``[render(g) for g in gates]``, calling render once per distinct object.
+
+    The lowering shares one object among all copies of a memoised gate, and
+    ``gates`` holds every object for the whole call, so no id is reused.
+    """
+    rendered: dict[int, str] = {}
+    out = []
+    for g in gates:
+        text = rendered.get(id(g))
+        if text is None:
+            text = rendered[id(g)] = render(g)
+        out.append(text)
+    return out
+
+
+def _text_line(g: Gate) -> str:
+    return " ".join([g.kind.value, *map(str, g.wires), *[f"{p:.12g}" for p in g.params]])
+
+
+def _json_object(g: Gate) -> str:
+    return json.dumps({"gate": g.kind.value, "wires": list(g.wires),
+                       "params": list(g.params)})
 
 
 _IDENTITY_TOL = 1e-12

@@ -49,6 +49,56 @@ def test_u1_requires_unitary():
         U1(0, [[1, 0], [0, 2]])
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("kind,wires,params,message", [
+    (GateKind.X, (0, 1), (), "X acts on 1 wires, got (0, 1)"),
+    (GateKind.CNOT, (0,), (), "CNOT acts on 2 wires, got (0,)"),
+    (GateKind.TOFFOLI, (0, 1), (), "TOFFOLI acts on 3 wires, got (0, 1)"),
+    (GateKind.CNOT, (1, 1), (), "CNOT wires must be distinct, got (1, 1)"),
+    (GateKind.FREDKIN, (0, 2, 2), (), "FREDKIN wires must be distinct, got (0, 2, 2)"),
+    (GateKind.X, (-1,), (), "wires must be non-negative integers, got (-1,)"),
+    (GateKind.CNOT, (0, -3), (), "wires must be non-negative integers, got (0, -3)"),
+    (GateKind.H, (1.5,), (), "wires must be non-negative integers, got (1.5,)"),
+    (GateKind.X, (INF,), (), "wires must be non-negative integers, got (inf,)"),
+    (GateKind.X, (NAN,), (), "wires must be non-negative integers, got (nan,)"),
+    (GateKind.R, (0,), (1.0,), "R takes 2 params, got 1"),
+    (GateKind.XX, (0, 1), (), "XX takes 1 params, got 0"),
+    (GateKind.X, (0,), (1.0,), "X takes 0 params, got 1"),
+    (GateKind.U1, (0,), (1.0,) * 7, "U1 takes 8 params, got 7"),
+    (GateKind.CRK, (0, 1), (0,), "CRK order k must be a positive integer, got 0"),
+    (GateKind.CRKINV, (0, 1), (1.5,), "CRK order k must be a positive integer, got 1.5"),
+    (GateKind.CRK, (0, 1), (-2,), "CRK order k must be a positive integer, got -2"),
+    (GateKind.CRK, (0, 1), (INF,), "CRK order k must be a positive integer, got inf"),
+    (GateKind.CRKINV, (0, 1), (NAN,), "CRK order k must be a positive integer, got nan"),
+    (GateKind.U1, (0,), (1.0, 0, 0, 0, 0, 0, 2.0, 0),
+     "U1 matrix is not unitary (deviation 3)"),
+    (GateKind.R, (0,), (NAN, 0.0), "R params must be finite, got (nan, 0.0)"),
+    (GateKind.R, (0,), (0.0, -INF), "R params must be finite, got (0.0, -inf)"),
+    (GateKind.XX, (0, 1), (INF,), "XX params must be finite, got (inf,)"),
+    (GateKind.U1, (0,), (NAN, 0, 0, 0, 0, 0, 1.0, 0),
+     "U1 params must be finite, got (nan, 0, 0, 0, 0, 0, 1.0, 0)"),
+])
+def test_gate_validation_messages(kind, wires, params, message):
+    # Exact texts: every message but the non-finite ones predates the
+    # table-driven checks and must not drift.
+    with pytest.raises(ValueError) as exc:
+        Gate(kind, wires, params)
+    assert str(exc.value) == message
+
+
+def test_non_finite_params_rejected_by_factories():
+    with pytest.raises(ValueError, match="R params must be finite"):
+        R(0, NAN, 0.0)
+    with pytest.raises(ValueError, match="XX params must be finite"):
+        XX(0, 1, INF)
+    with pytest.raises(ValueError, match="U1 params must be finite"):
+        U1(0, [[NAN, 0], [0, 1]])
+    with pytest.raises(ValueError, match="CRK order k"):
+        CRK(0, 1, INF)
+
+
 def test_every_gate_matrix_is_unitary(rng):
     gates = [X(0), H(0), CNOT(0, 1), SWAP(0, 1), TOFFOLI(0, 1, 2),
              FREDKIN(0, 1, 2), CRK(0, 1, 3), CRK_INV(0, 1, 3), CV(0, 1),

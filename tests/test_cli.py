@@ -151,6 +151,14 @@ def test_transpile_bad_circuit_exits_1(tmp_path, capsys):
     assert code == 1 and "unknown gate" in err
 
 
+def test_transpile_non_finite_param_exits_1(tmp_path, capsys):
+    bad = tmp_path / "nan.qc"
+    bad.write_text("qubits 2\nR 0 nan 0\nXX 0 1 inf\n")
+    code, out, err = run(capsys, "transpile", str(bad))
+    assert code == 1 and out == ""
+    assert "line 2: R params must be finite" in err
+
+
 def test_estimate_csv(capsys):
     code, out, _ = run(capsys, "estimate", "--n-range", "2..3",
                        "--format", "csv")
@@ -195,6 +203,16 @@ def test_decompose_u_rejects_non_unitary(capsys):
     code, _, err = run(capsys, "decompose-u", "1", "0", "0", "0", "0", "0",
                        "2", "0")
     assert code == 1 and "unitary" in err
+
+
+@pytest.mark.parametrize("entries", [
+    ("nan", "0", "0", "0", "0", "0", "1", "0"),
+    ("1", "0", "0", "0", "0", "0", "0", "inf"),
+])
+def test_decompose_u_rejects_non_finite(capsys, entries):
+    code, out, err = run(capsys, "decompose-u", *entries)
+    assert code == 1 and out == ""
+    assert "entries must be finite" in err
 
 
 def test_byte_identical_reruns(capsys):

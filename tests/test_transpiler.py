@@ -84,6 +84,13 @@ def test_decompose_rejects_non_unitary():
         decompose_unitary(np.eye(3))
 
 
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_decompose_rejects_non_finite(bad):
+    with pytest.raises(ValueError, match="not unitary"):
+        decompose_unitary([[bad, 0], [0, 1]])
+
+
 def test_reconstruct_uses_two_rotations():
     # b in [0, pi/2] puts the first rotation angle in [pi, 2*pi], never 0.
     p = UnitaryParams(a=0.3, b=0.7, c=-0.2, d=0.1)
