@@ -18,6 +18,12 @@ from .circuit import Circuit, RegisterLayout, parse, serialize
 __all__ = ["main"]
 
 
+# rng.choice holds a float64 uniform, an int64 index and the int64 draw per
+# shot, and np.unique then sorts a copy of the draws: about 24 bytes per shot
+# at the peak (measured with tracemalloc), so about 240 MB at this cap.
+MAX_SHOTS = 10 ** 7
+
+
 class CliError(Exception):
     pass
 
@@ -93,6 +99,8 @@ def _cmd_build(args) -> None:
 def _cmd_simulate(args) -> None:
     if args.shots is not None and args.shots < 1:
         raise CliError(f"--shots must be >= 1, got {args.shots}")
+    if args.shots is not None and args.shots > MAX_SHOTS:
+        raise CliError(f"--shots must be <= {MAX_SHOTS}, got {args.shots}")
     n_x = args.nx if args.nx is not None else 2 * args.N.bit_length() + 2
     dist = simulator.order_finding_distribution(args.N, args.y, n_x)
     if args.shots is not None:
@@ -100,8 +108,7 @@ def _cmd_simulate(args) -> None:
         outcomes, probs = dist.sampling_arrays()
         draws = rng.choice(outcomes, size=args.shots, p=probs)
         values, counts = np.unique(draws, return_counts=True)
-        dist = simulator.Distribution(
-            {int(v): float(c) / args.shots for v, c in zip(values, counts)})
+        dist = simulator.Distribution(values, counts / args.shots)
     _emit(dist.to_json() + "\n" if args.format == "json" else dist.to_csv(),
           args.output)
 
@@ -121,9 +128,12 @@ def _parse_range(arg: str) -> list[int]:
     if ".." in arg:
         lo, hi = arg.split("..", 1)
         try:
-            return list(range(int(lo), int(hi) + 1))
+            ns = list(range(int(lo), int(hi) + 1))
         except ValueError:
             raise CliError(f"bad --n-range {arg!r}: expected LO..HI") from None
+        if not ns:
+            raise CliError(f"bad --n-range {arg!r}: LO must not exceed HI")
+        return ns
     try:
         return [int(arg)]
     except ValueError:
@@ -135,7 +145,7 @@ def _cmd_estimate(args) -> None:
     ns = _parse_range(args.n_range)
     reports = [estimator.estimate_order_finding(n, args.nx) for n in ns]
     if args.format == "json":
-        text = json.dumps([json.loads(r.to_json()) for r in reports]) + "\n"
+        text = json.dumps([r.to_dict() for r in reports]) + "\n"
     elif args.format == "csv":
         text = estimator.reports_to_csv(reports)
     else:
@@ -151,6 +161,8 @@ def _cmd_estimate(args) -> None:
 
 
 def _cmd_factor(args) -> None:
+    if args.max_trials < 1:
+        raise CliError(f"--max-trials must be >= 1, got {args.max_trials}")
     outcome = shor.factor(args.N, seed=args.seed, max_trials=args.max_trials)
     _emit(outcome.to_json() + "\n", args.output)
 

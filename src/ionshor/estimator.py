@@ -9,7 +9,7 @@ three time steps).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .circuit import GateKind
 from .templates import TemplateParams, order_finding
@@ -42,12 +42,15 @@ class ResourceReport:
             raise ValueError("depth_bound carries the x3 factor, so it must be "
                              "divisible by 3")
 
+    def to_dict(self) -> dict:
+        """The JSON form as a dict, for serialising several reports at once."""
+        return {"n": self.n, "n_x": self.n_x, "N": self.N, "y": self.y,
+                "total_native": self.total_native, "two_qubit": self.two_qubit,
+                "single_qubit": self.single_qubit, "depth_bound": self.depth_bound,
+                "histogram": self.histogram}
+
     def to_json(self) -> str:
-        payload = {"n": self.n, "n_x": self.n_x, "N": self.N, "y": self.y,
-                   "total_native": self.total_native, "two_qubit": self.two_qubit,
-                   "single_qubit": self.single_qubit, "depth_bound": self.depth_bound,
-                   "histogram": self.histogram}
-        return json.dumps(payload)
+        return json.dumps(self.to_dict())
 
     def csv_row(self) -> str:
         blank = ""
@@ -99,13 +102,7 @@ def estimate_order_finding(n: int, n_x: int | None = None) -> ResourceReport:
     y = 2
     circuit = order_finding(TemplateParams(N=N, y=y, n=n, n_x=n_x))
     program = transpile(circuit)
-    counts = count_gates(program)
-    return ResourceReport(total_native=counts.total_native,
-                          two_qubit=counts.two_qubit,
-                          single_qubit=counts.single_qubit,
-                          depth_bound=counts.depth_bound,
-                          histogram=counts.histogram,
-                          n=n, n_x=n_x, N=N, y=y)
+    return replace(count_gates(program), n=n, n_x=n_x, N=N, y=y)
 
 
 def reports_to_csv(reports) -> str:

@@ -101,6 +101,8 @@ def factor(N: int, seed: int | None = None, max_trials: int = 20) -> ShorOutcome
     """
     if N < 2:
         raise ValueError(f"N must be >= 2, got {N}")
+    if max_trials < 1:
+        raise ValueError(f"max_trials must be >= 1, got {max_trials}")
     if N % 2 == 0 and N > 2:
         return ShorOutcome(N=N, factor=2)
     power = is_perfect_power(N) if N >= 4 else None

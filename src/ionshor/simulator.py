@@ -15,8 +15,10 @@ from __future__ import annotations
 
 import json
 import os
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import lru_cache
+from types import MappingProxyType
 
 import numpy as np
 
@@ -31,7 +33,9 @@ __all__ = [
 ]
 
 DENSE_QUBIT_CAP = 14
-NX_CAP = 20  # order-finding inputs 2**n_x, up to ~300 bytes each: ~330 MB
+# Order finding holds 2**n_x inputs at up to ~135 bytes each, and printing
+# a full support costs ~70 (CSV) to ~120 (JSON) bytes per outcome: ~290 MB.
+NX_CAP = 20
 _BATCH_WIRE_CAP = 64  # basis indices in and out of the batch engine are uint64
 NORM_TOL = 1e-9
 _PROB_FLOOR = 1e-14  # distributions drop dust below this; lost mass < NORM_TOL
@@ -44,7 +48,13 @@ CLASSICAL_KINDS = frozenset({
 def _dense_cap(cap: int | None) -> int:
     if cap is not None:
         return cap
-    return int(os.environ.get("IONSHOR_DENSE_CAP", DENSE_QUBIT_CAP))
+    raw = os.environ.get("IONSHOR_DENSE_CAP")
+    if raw is None:
+        return DENSE_QUBIT_CAP
+    if not raw.strip().isdecimal():  # int() reads every such string
+        raise ValueError(f"IONSHOR_DENSE_CAP must be a non-negative integer, "
+                         f"got {raw!r}")
+    return int(raw)
 
 
 def basis_state(width: int, index: int = 0) -> np.ndarray:
@@ -245,41 +255,85 @@ def simulate_reversible_batch(circuit: Circuit, basis_in) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Distribution:
-    """Measurement distribution: outcome integer -> probability."""
+    """Measurement distribution over integer outcomes.
 
-    probs: dict[int, float]
+    Stored as two read-only arrays of equal length: ``outcomes`` (int64,
+    non-negative, strictly increasing) and ``probabilities`` (float64,
+    summing to 1 within NORM_TOL).  Array arguments are made read-only in
+    place, not copied, so the constructor takes ownership of them.
+    """
+
+    outcomes: np.ndarray
+    probabilities: np.ndarray
 
     def __post_init__(self) -> None:
-        if any(p < 0 for p in self.probs.values()):
+        outcomes = np.asarray(self.outcomes)
+        probs = np.asarray(self.probabilities, dtype=np.float64)
+        if outcomes.ndim != 1 or probs.shape != outcomes.shape:
+            raise ValueError(
+                f"outcomes {outcomes.shape} and probabilities {probs.shape} "
+                "must be 1-D arrays of the same length")
+        if outcomes.size and not np.issubdtype(outcomes.dtype, np.integer):
+            raise ValueError(f"outcomes must be integers, got {outcomes.dtype}")
+        outcomes = outcomes.astype(np.int64, copy=False)
+        if outcomes.size and outcomes[0] < 0:
+            raise ValueError("outcomes must be non-negative")
+        if not (outcomes[1:] > outcomes[:-1]).all():
+            raise ValueError("outcomes must be strictly increasing")
+        if not (probs >= 0).all():
             raise ValueError("probabilities must be non-negative")
-        total = sum(self.probs.values())
-        if abs(total - 1.0) > NORM_TOL:
+        total = probs.sum()
+        if not abs(total - 1.0) <= NORM_TOL:
             raise ValueError(f"probabilities sum to {total}, expected 1")
+        for name, array in (("outcomes", outcomes), ("probabilities", probs)):
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Distribution):
+            return NotImplemented
+        return (np.array_equal(self.outcomes, other.outcomes)
+                and np.array_equal(self.probabilities, other.probabilities))
+
+    @classmethod
+    def from_dense(cls, probs: np.ndarray) -> Distribution:
+        """Outcome k with probability ``probs[k]``, dropping dust at or below
+        _PROB_FLOOR (the mass lost stays below NORM_TOL)."""
+        outcomes = np.flatnonzero(probs > _PROB_FLOOR)
+        return cls(outcomes, probs[outcomes])
+
+    @property
+    def probs(self) -> Mapping[int, float]:
+        """Read-only outcome -> probability mapping, built on each access."""
+        return MappingProxyType(dict(self.items()))
 
     def prob(self, outcome: int) -> float:
-        return self.probs.get(outcome, 0.0)
+        i = int(np.searchsorted(self.outcomes, outcome))
+        if i < self.outcomes.size and self.outcomes[i] == outcome:
+            return float(self.probabilities[i])
+        return 0.0
 
     def items(self) -> list[tuple[int, float]]:
-        return sorted(self.probs.items())
+        return list(zip(self.outcomes.tolist(), self.probabilities.tolist()))
 
     def sampling_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """Outcomes in increasing order and their probabilities rescaled to
         sum to exactly 1, as arrays for ``Generator.choice``."""
-        keys = sorted(self.probs)
-        outcomes = np.array(keys)
-        probs = np.array([self.probs[k] for k in keys])
-        return outcomes, probs / probs.sum()
+        return self.outcomes, self.probabilities / self.probabilities.sum()
 
     def top(self, count: int) -> list[tuple[int, float]]:
-        return sorted(self.probs.items(), key=lambda kv: (-kv[1], kv[0]))[:count]
+        """The ``count`` most likely outcomes; ties go to the smaller outcome."""
+        order = np.argsort(-self.probabilities, kind="stable")[:count]
+        return list(zip(self.outcomes[order].tolist(),
+                        self.probabilities[order].tolist()))
 
     def to_csv(self) -> str:
-        lines = ["outcome,probability"]
-        lines += [f"{k},{p:.12g}" for k, p in self.items()]
-        return "\n".join(lines) + "\n"
+        rows = zip(self.outcomes.tolist(), self.probabilities.tolist())
+        return "outcome,probability\n" + "".join(["%d,%.12g\n" % row
+                                                   for row in rows])
 
     def to_json(self) -> str:
-        return json.dumps({str(k): p for k, p in self.items()})
+        return json.dumps(dict(self.items()))  # json writes int keys as strings
 
 
 def measure_probs(state: np.ndarray, wires) -> Distribution:
@@ -303,9 +357,7 @@ def measure_probs(state: np.ndarray, wires) -> Distribution:
     # last listed wire first so flattening yields sum(bit_i << i).
     current = sorted(wires, reverse=True)
     perm = [current.index(w) for w in reversed(wires)]
-    flat = t.transpose(perm).reshape(-1)
-    return Distribution({int(k): float(v) for k, v in enumerate(flat)
-                         if v > _PROB_FLOOR})
+    return Distribution.from_dense(t.transpose(perm).reshape(-1))
 
 
 def _lane_bit_plane(bit: int, words: int) -> np.ndarray:
@@ -344,8 +396,7 @@ def _mod_pow_table(y: int, N: int, n_x: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=32)
-def _order_finding_probs(N: int, y: int, n_x: int) -> tuple[tuple[int, ...],
-                                                            tuple[float, ...]]:
+def _order_finding_probs(N: int, y: int, n_x: int) -> Distribution:
     params = templates.TemplateParams(N=N, y=y, n_x=n_x)
     circuit = templates.modular_exponentiation(params)
     layout = params.layout
@@ -375,8 +426,7 @@ def _order_finding_probs(N: int, y: int, n_x: int) -> tuple[tuple[int, ...],
         indicator = (f == value).astype(float)
         probs += np.abs(np.fft.fft(indicator)) ** 2
     probs /= float(M) ** 2
-    outcomes = np.nonzero(probs > _PROB_FLOOR)[0]
-    return tuple(int(k) for k in outcomes), tuple(float(probs[k]) for k in outcomes)
+    return Distribution.from_dense(probs)
 
 
 def order_finding_distribution(N: int, y: int, n_x: int) -> Distribution:
@@ -388,10 +438,14 @@ def order_finding_distribution(N: int, y: int, n_x: int) -> Distribution:
     residue group, which sidesteps the full-width dense state.
 
     Memory grows with M = 2**n_x: about 120 bytes per input for the arrays
-    of the evaluation, and up to 300 when every outcome has support and the
-    distribution holds M entries.  n_x is therefore capped at NX_CAP = 20
-    (about 330 MB measured at the cap), and the circuit must fit the batch
-    engine's 64 wires.  Both limits are checked before anything is built.
+    of the evaluation, and 16 per outcome with support for the two arrays of
+    the result (peak RSS 150 MB at n_x = 20 with 4 outcomes, 164 MB with all
+    M).  Writing all M outcomes out as CSV or JSON adds about 70 or 120
+    bytes each, so ``simulate --N 221 --y 3 --nx 20`` peaks at 235 or 289 MB.
+    n_x is therefore capped at NX_CAP = 20, and the circuit must fit the
+    batch engine's 64 wires.  Both limits are checked before anything is
+    built.  Results are cached; the returned distribution is read-only and
+    may be shared between callers.
     """
     if N < 2:
         raise ValueError(f"modulus N must be >= 2, got {N}")
@@ -406,5 +460,4 @@ def order_finding_distribution(N: int, y: int, n_x: int) -> Distribution:
     if width > _BATCH_WIRE_CAP:
         raise ValueError(f"N = {N} with n_x = {n_x} needs {width} wires; the "
                          f"batch engine handles at most {_BATCH_WIRE_CAP}")
-    outcomes, probs = _order_finding_probs(N, y % N, n_x)
-    return Distribution(dict(zip(outcomes, probs)))
+    return _order_finding_probs(N, y % N, n_x)

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from ionshor import simulator
+from ionshor import cli, simulator
 from ionshor.circuit import parse
 from ionshor.cli import main
 
@@ -99,6 +99,16 @@ def test_simulate_rejects_non_positive_shots(capsys, shots):
     assert code == 1 and "--shots must be >= 1" in err
 
 
+def test_simulate_rejects_shots_beyond_cap(capsys, monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("distribution built before the --shots check")
+    monkeypatch.setattr(simulator, "order_finding_distribution", unreachable)
+    for shots in (str(cli.MAX_SHOTS + 1), "1000000000000000"):
+        code, _, err = run(capsys, "simulate", "--N", "15", "--y", "7",
+                           "--shots", shots)
+        assert code == 1 and f"--shots must be <= {cli.MAX_SHOTS}" in err
+
+
 def test_simulate_rejects_modulus_beyond_batch_engine(capsys):
     code, _, err = run(capsys, "simulate", "--N", "257", "--y", "3")
     assert code == 1 and "N = 257 with n_x = 20" in err
@@ -178,6 +188,20 @@ def test_estimate_single_n_text(capsys):
 def test_estimate_bad_range_exits_1(capsys):
     code, _, err = run(capsys, "estimate", "--n-range", "x..y")
     assert code == 1 and "n-range" in err
+
+
+def test_estimate_empty_range_exits_1(capsys):
+    code, out, err = run(capsys, "estimate", "--n-range", "5..3")
+    assert code == 1 and out == ""
+    assert "--n-range" in err and "LO must not exceed HI" in err
+
+
+@pytest.mark.parametrize("trials", ["-3", "0"])
+def test_factor_rejects_max_trials_below_one(capsys, trials):
+    code, out, err = run(capsys, "factor", "--N", "15", "--seed", "1",
+                         "--max-trials", trials)
+    assert code == 1 and out == ""
+    assert f"--max-trials must be >= 1, got {trials}" in err
 
 
 def test_factor_json(capsys):

@@ -65,6 +65,13 @@ def test_factor_prime_reports_no_factor(monkeypatch):
         assert out.trials == 0
 
 
+@pytest.mark.parametrize("N", [4, 9, 7, 15])  # even, power, prime, composite
+def test_factor_rejects_max_trials_below_one(N):
+    for max_trials in (0, -3):
+        with pytest.raises(ValueError, match="max_trials must be >= 1"):
+            factor(N, seed=1, max_trials=max_trials)
+
+
 def test_factor_two_has_no_nontrivial_factor():
     assert factor(2, seed=0, max_trials=2).factor is None
 

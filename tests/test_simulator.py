@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -55,6 +56,14 @@ def test_dense_cap_rejects_wide_circuits():
 def test_dense_cap_env_override(monkeypatch):
     monkeypatch.setenv("IONSHOR_DENSE_CAP", "16")
     assert simulate_dense(Circuit(15))[0] == 1
+
+
+@pytest.mark.parametrize("raw", ["abc", "-1", "1.5", ""])
+def test_dense_cap_env_rejects_non_integer(monkeypatch, raw):
+    monkeypatch.setenv("IONSHOR_DENSE_CAP", raw)
+    with pytest.raises(ValueError, match="IONSHOR_DENSE_CAP must be a "
+                                         "non-negative integer"):
+        simulate_dense(Circuit(2))
 
 
 def test_dense_validates_initial_state():
@@ -313,13 +322,67 @@ def test_measure_probs_rejects_duplicates():
 
 def test_distribution_validation_and_export():
     with pytest.raises(ValueError, match="non-negative"):
-        Distribution({0: -0.5, 1: 1.5})
+        Distribution(np.array([0, 1]), np.array([-0.5, 1.5]))
     with pytest.raises(ValueError, match="sum"):
-        Distribution({0: 0.7})
-    dist = Distribution({3: 0.25, 0: 0.75})
+        Distribution(np.array([0]), np.array([0.7]))
+    for outcomes in ([3, 0], [3, 3]):  # unsorted, duplicate
+        with pytest.raises(ValueError, match="strictly increasing"):
+            Distribution(np.array(outcomes), np.array([0.75, 0.25]))
+    with pytest.raises(ValueError, match="outcomes must be non-negative"):
+        Distribution(np.array([-1, 3]), np.array([0.75, 0.25]))
+    with pytest.raises(ValueError, match="same length"):
+        Distribution(np.array([0, 3]), np.array([1.0]))
+    with pytest.raises(ValueError, match="integers"):
+        Distribution(np.array([0.0, 3.0]), np.array([0.75, 0.25]))
+    with pytest.raises(ValueError, match="non-negative"):
+        Distribution(np.array([0, 3]), np.array([np.nan, 1.0]))
+    dist = Distribution(np.array([0, 3]), np.array([0.75, 0.25]))
     assert dist.to_csv() == "outcome,probability\n0,0.75\n3,0.25\n"
     assert dist.to_json() == '{"0": 0.75, "3": 0.25}'
     assert dist.top(1) == [(0, 0.75)]
+    assert dist.probs == {0: 0.75, 3: 0.25}
+    assert dist == Distribution([0, 3], [0.75, 0.25])
+    assert dist != Distribution([0, 2], [0.75, 0.25])
+    assert (dist.prob(3), dist.prob(1), dist.prob(-2), dist.prob(4)) \
+        == (0.25, 0.0, 0.0, 0.0)
+
+
+def test_distribution_matches_dict_reference(rng):
+    """Every view equals the one computed from an outcome -> probability dict."""
+    for _ in range(50):
+        size = int(rng.integers(1, 40))
+        outcomes = np.sort(rng.choice(1000, size=size, replace=False))
+        weights = rng.integers(1, 5, size=size).astype(float)
+        probs = weights / weights.sum()
+        dist = Distribution(outcomes, probs)
+        ref = {int(k): float(p) for k, p in zip(outcomes, probs)}
+        keys = sorted(ref)
+        assert dist.items() == [(k, ref[k]) for k in keys]
+        assert all(type(k) is int and type(p) is float for k, p in dist.items())
+        assert dist.top(7) == sorted(ref.items(), key=lambda kv: (-kv[1], kv[0]))[:7]
+        assert dist.to_csv() == "outcome,probability\n" + "".join(
+            f"{k},{ref[k]:.12g}\n" for k in keys)
+        assert dist.to_json() == json.dumps({str(k): ref[k] for k in keys})
+        assert [dist.prob(k) for k in range(1000)] == [ref.get(k, 0.0)
+                                                        for k in range(1000)]
+        ref_p = np.array([ref[k] for k in keys])
+        got_o, got_p = dist.sampling_arrays()
+        assert got_o.tolist() == keys
+        assert got_p.tobytes() == (ref_p / ref_p.sum()).tobytes()
+
+
+def test_distribution_arrays_are_read_only_and_cached():
+    dist = order_finding_distribution(15, 7, 8)
+    outcomes, probs = dist.outcomes.copy(), dist.probabilities.copy()
+    for array in (dist.outcomes, dist.probabilities, dist.sampling_arrays()[0]):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 1
+    with pytest.raises(TypeError):
+        dist.probs[0] = 1.0
+    again = order_finding_distribution(15, 22, 8)  # 22 = 7 mod 15
+    assert again is dist
+    assert np.array_equal(again.outcomes, outcomes)
+    assert again.probabilities.tobytes() == probs.tobytes()
 
 
 def test_swap_gate_dense_versus_oracle(rng):
