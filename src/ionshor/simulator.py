@@ -6,8 +6,9 @@ propagates a single basis index through classical gates, with a bit-sliced
 batch variant that stores each wire as a uint64 plane holding 64 inputs per
 word and applies each gate to whole planes.  The structured order-finding
 evaluator runs that engine on planes built straight from the register
-layout, and combines it with a grouped inverse DFT so the full-width dense
-state is never needed.
+layout, checks the result exactly, and takes the inverse DFT in closed form:
+y^x mod N has a period r, so the outcome probabilities are two Fejer kernels
+evaluated in one O(2^n_x) pass, and the full-width dense state is never needed.
 
 Basis convention: amplitude index i has bit j equal to the value of wire j.
 """
@@ -33,8 +34,8 @@ __all__ = [
 ]
 
 DENSE_QUBIT_CAP = 14
-# Order finding holds 2**n_x inputs at up to ~135 bytes each, and printing
-# a full support costs ~70 (CSV) to ~120 (JSON) bytes per outcome: ~290 MB.
+# Order finding holds 2**n_x inputs at about 80 bytes each, and printing a
+# full support costs ~95 (CSV) to ~145 (JSON) bytes per outcome: ~270 MB.
 NX_CAP = 20
 _BATCH_WIRE_CAP = 64  # basis indices in and out of the batch engine are uint64
 NORM_TOL = 1e-9
@@ -419,14 +420,41 @@ def _order_finding_probs(N: int, y: int, n_x: int) -> Distribution:
         raise RuntimeError("modular exponentiation circuit disagrees with the "
                            "classical reference")
 
-    # Post inverse-QFT amplitude of outcome k from the inputs mapping to value
-    # v is (1/M) sum_{x: f(x)=v} exp(-2 pi i k x / M); group, DFT, sum squares.
-    probs = np.zeros(M)
-    for value in np.unique(f):
-        indicator = (f == value).astype(float)
-        probs += np.abs(np.fft.fft(indicator)) ** 2
-    probs /= float(M) ** 2
-    return Distribution.from_dense(probs)
+    # f is y**x mod N exactly, so its period is the order of y, or M when no
+    # value repeats below M.
+    repeats = np.flatnonzero(f[1:] == f[0])
+    period = int(repeats[0]) + 1 if repeats.size else M
+    return Distribution.from_dense(_period_probs(period, M))
+
+
+def _period_probs(r: int, M: int) -> np.ndarray:
+    """Inverse-QFT outcome probabilities of M inputs whose values repeat with
+    period r (1 <= r <= M) and are distinct within a period.
+
+    The inputs sharing a value are x = j + s*r, so each such class of c
+    members contributes |(1/M) sum_s exp(-2 pi i k s r / M)|**2 = F_c / M**2,
+    the Fejer kernel of m = k*r mod M.  M mod r classes have q + 1 members
+    and the rest q, with q = M // r.
+    """
+    q, e = divmod(M, r)
+    m = np.arange(M, dtype=np.int64) * r % M
+    return ((r - e) * _fejer(q, m, M) + e * _fejer(q + 1, m, M)) / float(M) ** 2
+
+
+def _sin_squared(n: np.ndarray, M: int) -> np.ndarray:
+    """sin(pi n / M)**2 for integers n, reduced exactly to an angle in [0, pi/2]."""
+    n = n % M
+    return np.sin(np.minimum(n, M - n) * (np.pi / M)) ** 2
+
+
+def _fejer(c: int, m: np.ndarray, M: int) -> np.ndarray:
+    """sin(pi c m / M)**2 / sin(pi m / M)**2, and its limit c**2 where m = 0.
+
+    Products c*m stay below M**2 <= 2**40, so int64 holds them exactly.
+    """
+    out = np.full(m.shape, float(c * c))
+    np.divide(_sin_squared(c * m, M), _sin_squared(m, M), out=out, where=m != 0)
+    return out
 
 
 def order_finding_distribution(N: int, y: int, n_x: int) -> Distribution:
@@ -434,14 +462,15 @@ def order_finding_distribution(N: int, y: int, n_x: int) -> Distribution:
 
     Evaluates y^x mod N for every basis x by running the actual modular-
     exponentiation circuit through the reversible engine (cross-checked
-    against a vectorised mod_pow table), then applies the inverse DFT per
-    residue group, which sidesteps the full-width dense state.
+    against a vectorised mod_pow table), then takes the inverse DFT in
+    closed form from the period of y^x mod N (see ``_period_probs``), which
+    sidesteps the full-width dense state.
 
-    Memory grows with M = 2**n_x: about 120 bytes per input for the arrays
-    of the evaluation, and 16 per outcome with support for the two arrays of
-    the result (peak RSS 150 MB at n_x = 20 with 4 outcomes, 164 MB with all
-    M).  Writing all M outcomes out as CSV or JSON adds about 70 or 120
-    bytes each, so ``simulate --N 221 --y 3 --nx 20`` peaks at 235 or 289 MB.
+    Memory grows with M = 2**n_x: about 80 bytes per input for the arrays of
+    the evaluation, and 16 per outcome with support for the two arrays of the
+    result (peak RSS 111 MB at n_x = 20 with 4 outcomes, 121 MB with all M).
+    Writing all M outcomes out as CSV or JSON adds about 95 or 145 bytes
+    each, so ``simulate --N 221 --y 3 --nx 20`` peaks at 219 or 270 MB.
     n_x is therefore capped at NX_CAP = 20, and the circuit must fit the
     batch engine's 64 wires.  Both limits are checked before anything is
     built.  Results are cached; the returned distribution is read-only and

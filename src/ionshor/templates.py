@@ -15,6 +15,7 @@ ancilla registers bit-exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .circuit import (
     CNOT, CRK, CRK_INV, FREDKIN, H, SWAP, TOFFOLI, X,
@@ -116,7 +117,10 @@ def adder_inv(layout: RegisterLayout) -> Circuit:
     return adder(layout).inverse()
 
 
-def _adder_mod_gates(layout: RegisterLayout, N: int) -> list[Gate]:
+@lru_cache(maxsize=16)
+def _adder_mod_gates(layout: RegisterLayout, N: int) -> tuple[Gate, ...]:
+    """ADDER_MOD's gates, built once per (layout, N): modular exponentiation
+    repeats the block 2*n*n_x times, and gates are immutable, so it is shared."""
     a, b, c, Nw, t, n = layout.a, layout.b, layout.c, layout.N, layout.t, layout.n
     add = _adder_gates(layout)
     swap_aN = [SWAP(a[i], Nw[i]) for i in range(n)]
@@ -135,7 +139,7 @@ def _adder_mod_gates(layout: RegisterLayout, N: int) -> list[Gate]:
     gates += _inverted(add)
     gates.append(CNOT(b[n], t))
     gates += add
-    return gates
+    return tuple(gates)
 
 
 def adder_mod(params: TemplateParams) -> Circuit:

@@ -289,6 +289,68 @@ def test_structured_matches_dense_pipeline():
         assert dense_probs.prob(k) == pytest.approx(structured.prob(k), abs=1e-9)
 
 
+def grouped_fft_probs(f: np.ndarray) -> np.ndarray:
+    """Oracle: the post inverse-QFT amplitude of outcome k from the inputs
+    mapping to value v is (1/M) sum_{x: f(x)=v} exp(-2 pi i k x / M); so
+    group the inputs by value, DFT each indicator and sum the squares."""
+    M = f.size
+    probs = np.zeros(M)
+    for value in np.unique(f):
+        probs += np.abs(np.fft.fft((f == value).astype(float))) ** 2
+    return probs / float(M) ** 2
+
+
+def assert_matches_oracle(closed: np.ndarray, f: np.ndarray) -> None:
+    oracle = grouped_fft_probs(f)
+    assert np.abs(closed - oracle).max() <= 1e-12
+    floor = simulator._PROB_FLOOR
+    assert np.array_equal(closed > floor, oracle > floor)
+
+
+@pytest.mark.parametrize("n_x,r", [
+    (1, 1), (1, 2), (4, 1), (4, 3), (4, 5), (4, 16), (8, 2), (8, 6), (8, 7),
+    (8, 64), (8, 255), (8, 256), (12, 6), (12, 10), (12, 48), (12, 4095),
+    (16, 2045),
+])
+def test_period_probs_match_grouped_fft(n_x, r):
+    M = 1 << n_x
+    closed = simulator._period_probs(r, M)
+    assert_matches_oracle(closed, np.arange(M) % r)
+    if r == M:  # no value repeats: every outcome is equally likely
+        assert np.array_equal(closed, np.full(M, 1 / M))
+
+
+@pytest.mark.parametrize("N,y,n_x", [
+    (5, 1, 1), (5, 2, 1), (5, 4, 1), (15, 7, 8), (21, 5, 12), (33, 2, 14),
+    (23, 5, 4), (221, 3, 12), (7, 3, 8),
+])
+def test_order_finding_distribution_matches_grouped_fft(N, y, n_x):
+    dist = order_finding_distribution(N, y, n_x)
+    closed = np.zeros(1 << n_x)
+    closed[dist.outcomes] = dist.probabilities
+    assert_matches_oracle(closed, simulator._mod_pow_table(y, N, n_x))
+
+
+def test_order_finding_distribution_beyond_register_is_uniform():
+    # the order of 5 mod 23 is 22 > 16 = M, so all 16 values are distinct
+    dist = order_finding_distribution(23, 5, 4)
+    assert dist.outcomes.tolist() == list(range(16))
+    assert np.array_equal(dist.probabilities, np.full(16, 1 / 16))
+
+
+@pytest.mark.parametrize("N,y,n_x,k,exact", [
+    # 40-digit mpmath evaluations of the Fejer-kernel sum; the grouped FFT
+    # printed the first as 1753,1.24905534523e-07
+    (21, 5, 12, 1753, 1.2490553452350008e-7),
+    (33, 2, 14, 101, 9.0216752187651519e-9),
+    (33, 2, 14, 2021, 6.7485893533350318e-8),
+])
+def test_order_finding_distribution_pinned_to_high_precision(N, y, n_x, k, exact):
+    dist = order_finding_distribution(N, y, n_x)
+    assert dist.prob(k) == pytest.approx(exact, rel=1e-15, abs=0)
+    assert f"\n{k},{exact:.12g}\n" in dist.to_csv()
+
+
 def test_measure_probs_basis_state_endianness():
     probs = measure_probs(basis_state(3, 0b011), (0, 1, 2))
     assert probs.probs == {3: 1.0}

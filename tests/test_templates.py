@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from ionshor import templates
 from ionshor.circuit import GateKind, RegisterLayout, inverse
 from ionshor.simulator import circuit_unitary, simulate_reversible
 from ionshor.templates import (
@@ -148,6 +149,19 @@ def test_modular_exponentiation_examples():
         assert got["z"] == expected
         assert (got["x"], got["a"], got["b"], got["c"], got["t"]) \
             == (x, 0, 0, 0, 0)
+
+
+@pytest.mark.parametrize("N,y,n_x", [(5, 3, 8), (15, 7, 4), (21, 5, 6), (221, 3, 3)])
+def test_modular_exponentiation_reuses_adder_mod_blocks_exactly(N, y, n_x):
+    params = TemplateParams(N=N, y=y, n_x=n_x)
+    templates._adder_mod_gates.cache_clear()
+    cold = modular_exponentiation(params)
+    assert templates._adder_mod_gates.cache_info().hits > 0
+    warm = modular_exponentiation(params)
+    templates._adder_mod_gates.cache_clear()
+    again = modular_exponentiation(params)
+    assert warm.gates == cold.gates == again.gates
+    assert adder_mod(params).gates == templates._adder_mod_gates(params.layout, N)
 
 
 def test_modular_exponentiation_rejects_non_coprime_base():
