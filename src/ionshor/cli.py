@@ -97,6 +97,8 @@ def _cmd_build(args) -> None:
 
 
 def _cmd_simulate(args) -> None:
+    if args.seed is not None and args.seed < 0:
+        raise CliError(f"--seed must be >= 0, got {args.seed}")
     if args.shots is not None and args.shots < 1:
         raise CliError(f"--shots must be >= 1, got {args.shots}")
     if args.shots is not None and args.shots > MAX_SHOTS:
@@ -161,6 +163,8 @@ def _cmd_estimate(args) -> None:
 
 
 def _cmd_factor(args) -> None:
+    if args.seed is not None and args.seed < 0:
+        raise CliError(f"--seed must be >= 0, got {args.seed}")
     if args.max_trials < 1:
         raise CliError(f"--max-trials must be >= 1, got {args.max_trials}")
     outcome = shor.factor(args.N, seed=args.seed, max_trials=args.max_trials)

@@ -4,11 +4,12 @@ The dense engine applies each gate by stride iteration over the amplitude
 tensor (no full 2^n x 2^n matrices are ever formed).  The reversible engine
 propagates a single basis index through classical gates, with a bit-sliced
 batch variant that stores each wire as a uint64 plane holding 64 inputs per
-word and applies each gate to whole planes.  The structured order-finding
-evaluator runs that engine on planes built straight from the register
-layout, checks the result exactly, and takes the inverse DFT in closed form:
-y^x mod N has a period r, so the outcome probabilities are two Fejer kernels
-evaluated in one O(2^n_x) pass, and the full-width dense state is never needed.
+word and applies the circuit's own Gate objects, one by one, to whole planes.
+The structured order-finding evaluator runs that engine on planes built
+straight from the register layout, checks the result exactly, and takes the
+inverse DFT in closed form: y^x mod N has a period r, so the outcome
+probabilities are two Fejer kernels evaluated in one O(2^n_x) pass, and the
+full-width dense state is never needed.
 
 Basis convention: amplitude index i has bit j equal to the value of wire j.
 """
@@ -162,58 +163,46 @@ def simulate_reversible(circuit: Circuit, basis_in: int) -> int:
     return bits
 
 
-_OP_X, _OP_CNOT, _OP_TOFFOLI, _OP_SWAP, _OP_FREDKIN = range(5)
 # Lane i of a plane is bit i of its little-endian uint64 words.
 _PLANE_DTYPE = np.dtype("<u8")
 
 
-def _compile(circuit: Circuit) -> list[tuple[int, int, int, int]]:
-    """Int-coded ops (opcode, wire, wire, wire), unused wires 0.
-
-    Rejects the first non-classical gate by position and kind.
-    """
-    # Local names: enum class attribute lookups are slow per gate.
-    x, cnot, toffoli, swap, fredkin = (GateKind.X, GateKind.CNOT,
-                                       GateKind.TOFFOLI, GateKind.SWAP,
-                                       GateKind.FREDKIN)
-    ops = []
-    for pos, gate in enumerate(circuit.gates):
-        kind, w = gate.kind, gate.wires
-        if kind is cnot:
-            ops.append((_OP_CNOT, w[0], w[1], 0))
-        elif kind is toffoli:
-            ops.append((_OP_TOFFOLI, w[0], w[1], w[2]))
-        elif kind is swap:
-            ops.append((_OP_SWAP, w[0], w[1], 0))
-        elif kind is x:
-            ops.append((_OP_X, w[0], 0, 0))
-        elif kind is fredkin:
-            ops.append((_OP_FREDKIN, w[0], w[1], w[2]))
-        else:
+def _check_all_classical(gates) -> None:
+    """Reject the first non-classical gate by position and kind."""
+    for pos, gate in enumerate(gates):
+        if gate.kind not in CLASSICAL_KINDS:
             _check_classical(gate, pos)  # raises
-    return ops
 
 
-def _run(ops: list[tuple[int, int, int, int]], planes: list[np.ndarray]) -> None:
-    """Apply compiled ops in place to a list of equal-length uint64 planes.
+def _run(gates, planes: list[np.ndarray]) -> None:
+    """Apply classical gates in place to a list of equal-length uint64 planes.
 
-    A SWAP exchanges two list entries, so afterwards ``planes[w]`` is wire w
-    but need not be the array passed in for it.
+    The gates must have passed ``_check_all_classical``.  A SWAP exchanges
+    two list entries, so afterwards ``planes[w]`` is wire w but need not be
+    the array passed in for it.
     """
     tmp = np.empty_like(planes[0]) if planes else None
     xor, and_ = np.bitwise_xor, np.bitwise_and
+    # Local names: enum class attribute lookups are slow per gate.
+    x, cnot, toffoli, swap = GateKind.X, GateKind.CNOT, GateKind.TOFFOLI, GateKind.SWAP
     # Every ufunc below writes its result into its last argument.
-    for code, a, b, c in ops:
-        if code == _OP_CNOT:
+    for gate in gates:
+        kind, w = gate.kind, gate.wires
+        if kind is cnot:
+            a, b = w
             xor(planes[b], planes[a], planes[b])
-        elif code == _OP_TOFFOLI:
+        elif kind is toffoli:
+            a, b, c = w
             and_(planes[a], planes[b], tmp)
             xor(planes[c], tmp, planes[c])
-        elif code == _OP_SWAP:
+        elif kind is swap:
+            a, b = w
             planes[a], planes[b] = planes[b], planes[a]
-        elif code == _OP_X:
+        elif kind is x:
+            a = w[0]
             np.invert(planes[a], planes[a])
-        else:  # _OP_FREDKIN
+        else:  # FREDKIN
+            a, b, c = w
             xor(planes[b], planes[c], tmp)
             and_(tmp, planes[a], tmp)
             xor(planes[b], tmp, planes[b])
@@ -224,20 +213,37 @@ def _plane_words(count: int) -> int:
     return -(-count // 64)
 
 
+def _unpack(planes: list[np.ndarray], wires, count: int, dtype) -> np.ndarray:
+    """The first ``count`` lanes as integers whose bit i is on ``wires[i]``."""
+    dtype = np.dtype(dtype)
+    out = np.zeros(count, dtype=dtype)
+    for i, w in enumerate(wires):
+        bits = np.unpackbits(planes[w].view(np.uint8), count=count, bitorder="little")
+        out |= bits.astype(dtype) << dtype.type(i)
+    return out
+
+
 def simulate_reversible_batch(circuit: Circuit, basis_in) -> np.ndarray:
     """Vectorized reversible engine on bit-sliced uint64 planes.
 
     Each wire is one plane of ceil(M/64) words holding that wire's bit for
-    64 of the M inputs per word, and every gate is one or a few bitwise
-    operations on whole planes.  Basis indices in and out are uint64 words,
-    so circuits wider than 64 wires are rejected.
+    64 of the M inputs per word, and each of the circuit's gates is applied
+    as one or a few bitwise operations on whole planes.  Basis indices in
+    are non-negative integers and out are uint64 words, so circuits wider
+    than 64 wires are rejected.
     """
     width = circuit.width
     if width > _BATCH_WIRE_CAP:
         raise ValueError(f"circuit width {width} exceeds the batch "
                          f"engine's {_BATCH_WIRE_CAP}-wire limit")
-    ops = _compile(circuit)
-    idx = np.asarray(basis_in, dtype=np.uint64)
+    _check_all_classical(circuit.gates)
+    idx = np.asarray(basis_in)
+    if idx.size and not np.issubdtype(idx.dtype, np.integer):
+        raise ValueError(f"basis indices must be integers below 2**64, "
+                         f"got an array of dtype {idx.dtype}")
+    if idx.size and int(idx.min()) < 0:
+        raise ValueError(f"basis indices must be non-negative, got {int(idx.min())}")
+    idx = idx.astype(np.uint64, copy=False)
     if idx.size and int(idx.max()) >= (1 << width):
         raise ValueError("basis index out of range for circuit width")
     count = idx.size
@@ -246,12 +252,8 @@ def simulate_reversible_batch(circuit: Circuit, basis_in) -> np.ndarray:
     planes = [np.packbits((lanes >> np.uint64(w)) & np.uint64(1),
                           bitorder="little").view(_PLANE_DTYPE)
               for w in range(width)]
-    _run(ops, planes)
-    out = np.zeros(count, dtype=np.uint64)
-    for w, plane in enumerate(planes):
-        bits = np.unpackbits(plane.view(np.uint8), count=count, bitorder="little")
-        out |= bits.astype(np.uint64) << np.uint64(w)
-    return out.reshape(idx.shape)
+    _run(circuit.gates, planes)
+    return _unpack(planes, range(width), count, np.uint64).reshape(idx.shape)
 
 
 @dataclass(frozen=True)
@@ -402,15 +404,12 @@ def _order_finding_probs(N: int, y: int, n_x: int) -> Distribution:
     circuit = templates.modular_exponentiation(params)
     layout = params.layout
     M = 1 << n_x
-    ops = _compile(circuit)
+    _check_all_classical(circuit.gates)
     expected = _order_finding_planes(layout, N, _plane_words(M))
     planes = [p.copy() for p in expected]
-    _run(ops, planes)
+    _run(circuit.gates, planes)
 
-    f = np.zeros(M, dtype=np.int64)
-    for i, w in enumerate(layout.z):
-        bits = np.unpackbits(planes[w].view(np.uint8), count=M, bitorder="little")
-        f |= bits.astype(np.int64) << i
+    f = _unpack(planes, layout.z, M, np.int64)
     # x and N must come back intact and every ancilla cleared, so the whole
     # output is determined by x and f(x).
     z = set(layout.z)

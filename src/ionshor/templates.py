@@ -19,7 +19,7 @@ from functools import lru_cache
 
 from .circuit import (
     CNOT, CRK, CRK_INV, FREDKIN, H, SWAP, TOFFOLI, X,
-    Circuit, Gate, RegisterLayout, gate_adjoint,
+    Circuit, Gate, RegisterLayout, inverse,
 )
 from .classical import gcd, modular_multiplicative_inverse, precompute_multipliers
 
@@ -61,7 +61,12 @@ class TemplateParams:
 
 
 def _inverted(gates: list[Gate]) -> list[Gate]:
-    return [gate_adjoint(g) for g in reversed(gates)]
+    """Inverse of an arithmetic block: its gates in reverse order.
+
+    Arithmetic blocks hold only X, CNOT, SWAP and Toffoli, each its own
+    adjoint, so reversing the order alone inverts the block.
+    """
+    return gates[::-1]
 
 
 def _wrap(gates: list[Gate], *wires: int) -> Circuit:
@@ -257,19 +262,8 @@ def qft(wires) -> Circuit:
 
 
 def qft_inv(wires) -> Circuit:
-    """Adjoint of :func:`qft`, constructed as the mirrored gate sequence."""
-    wires = tuple(wires)
-    if not wires:
-        raise ValueError("qft_inv needs at least one wire")
-    n = len(wires)
-    gates: list[Gate] = []
-    for i in reversed(range(n // 2)):
-        gates.append(SWAP(wires[i], wires[n - 1 - i]))
-    for i in range(n):
-        for j in range(i):
-            gates.append(CRK_INV(wires[j], wires[i], i - j + 1))
-        gates.append(H(wires[i]))
-    return _wrap(gates, *wires)
+    """Adjoint of :func:`qft`: the mirrored gate sequence."""
+    return inverse(qft(wires))
 
 
 def cr_k(control: int, target: int, k: int) -> Circuit:

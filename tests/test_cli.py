@@ -204,6 +204,21 @@ def test_factor_rejects_max_trials_below_one(capsys, trials):
     assert f"--max-trials must be >= 1, got {trials}" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("simulate", "--N", "15", "--y", "7", "--shots", "10"),
+    ("simulate", "--N", "15", "--y", "7"),
+    ("factor", "--N", "15"),
+])
+def test_negative_seed_exits_1_naming_the_flag(capsys, monkeypatch, argv):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("work started before the --seed check")
+    monkeypatch.setattr(simulator, "order_finding_distribution", unreachable)
+    monkeypatch.setattr(cli.shor, "factor", unreachable)
+    code, out, err = run(capsys, *argv, "--seed", "-1")
+    assert code == 1 and out == ""
+    assert "--seed must be >= 0, got -1" in err
+
+
 def test_factor_json(capsys):
     code, out, _ = run(capsys, "factor", "--N", "15", "--seed", "7")
     assert code == 0

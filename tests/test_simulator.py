@@ -189,6 +189,35 @@ def test_batch_rejects_non_classical_gate_before_any_work():
         simulate_reversible_batch(Circuit(3, [X(0), CNOT(0, 1), H(2)]), Untouchable())
 
 
+@pytest.mark.parametrize("inputs,message", [
+    ([1.5], "dtype float64"), (np.array([1.0]), "dtype float64"),
+    ([1.7, 2.2], "dtype float64"), ([2 ** 64], "dtype object"),
+    ([-1], "non-negative, got -1"),
+])
+def test_batch_rejects_inputs_that_are_not_basis_indices(inputs, message):
+    with pytest.raises(ValueError, match=f"basis indices must be .*{message}"):
+        simulate_reversible_batch(Circuit(2, [X(0)]), inputs)
+
+
+def test_order_finding_distribution_rejects_non_classical_gate_before_run(
+        monkeypatch):
+    build = simulator.templates.modular_exponentiation
+
+    def with_hadamard(params):
+        circuit = build(params)
+        return Circuit(circuit.width, list(circuit.gates) + [H(params.layout.x[0])],
+                       params.layout)
+
+    def unreachable(*args):
+        raise AssertionError("engine ran before the classical check")
+    monkeypatch.setattr(simulator.templates, "modular_exponentiation", with_hadamard)
+    monkeypatch.setattr(simulator, "_run", unreachable)
+    simulator._order_finding_probs.cache_clear()
+    count = len(build(TemplateParams(N=11, y=2, n_x=7)).gates)
+    with pytest.raises(ValueError, match=f"gate {count} is H"):
+        order_finding_distribution(11, 2, 7)
+
+
 def test_order_finding_distribution_caps_n_x_before_building(monkeypatch):
     def unreachable(*args):
         raise AssertionError("circuit built before the n_x check")

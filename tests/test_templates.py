@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ionshor import templates
-from ionshor.circuit import GateKind, RegisterLayout, inverse
+from ionshor.circuit import Circuit, GateKind, RegisterLayout, inverse
 from ionshor.simulator import circuit_unitary, simulate_reversible
 from ionshor.templates import (
     TemplateParams, adder, adder_inv, adder_mod, adder_mod_inv, carry_gate,
@@ -162,6 +162,20 @@ def test_modular_exponentiation_reuses_adder_mod_blocks_exactly(N, y, n_x):
     again = modular_exponentiation(params)
     assert warm.gates == cold.gates == again.gates
     assert adder_mod(params).gates == templates._adder_mod_gates(params.layout, N)
+
+
+SELF_ADJOINT = {GateKind.X, GateKind.CNOT, GateKind.SWAP, GateKind.TOFFOLI}
+
+
+@pytest.mark.parametrize("N", [3, 5, 7, 15, 21, 33])
+def test_arithmetic_blocks_invert_by_reversal(N):
+    # _inverted reverses without taking adjoints, which is exact only while
+    # every arithmetic gate is its own adjoint.
+    params = TemplateParams(N=N, y=2, m=2, n_x=3)
+    for c in (adder(params.layout), adder_mod(params), ctrl_mult_mod(params),
+              modular_exponentiation(params)):
+        assert {g.kind for g in c.gates} <= SELF_ADJOINT
+        assert Circuit(c.width, templates._inverted(list(c.gates))) == inverse(c)
 
 
 def test_modular_exponentiation_rejects_non_coprime_base():
