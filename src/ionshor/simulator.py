@@ -5,21 +5,23 @@ tensor (no full 2^n x 2^n matrices are ever formed).  The reversible engine
 propagates a single basis index through classical gates, with a bit-sliced
 batch variant that stores each wire as a uint64 plane holding 64 inputs per
 word and applies the circuit's own Gate objects, one by one, to whole planes.
-The structured order-finding evaluator runs that engine on planes built
-straight from the register layout, checks the result exactly, and takes the
-inverse DFT in closed form: y^x mod N has a period r, so the outcome
-probabilities are two Fejer kernels evaluated in one O(2^n_x) pass, and the
-full-width dense state is never needed.
+The structured order-finding evaluator checks the modular exponentiation
+exactly, one exponent stage at a time: it runs each stage's gates through
+that engine on the stage's 2N inputs (control bit and z < N), never on the
+2^n_x exponents.  It then takes the inverse DFT in closed form: y^x mod N
+has a period r, so the outcome probabilities are two Fejer kernels evaluated
+in one O(2^n_x) pass, and the full-width dense state is never needed.
 
 Basis convention: amplitude index i has bit j equal to the value of wire j.
 """
 from __future__ import annotations
 
-import json
 import os
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
+from operator import attrgetter
 from types import MappingProxyType
 
 import numpy as np
@@ -29,15 +31,17 @@ from .classical import gcd, mod_pow
 from . import templates
 
 __all__ = [
-    "DENSE_QUBIT_CAP", "NX_CAP", "Distribution", "basis_state", "simulate_dense",
-    "circuit_unitary", "simulate_reversible", "simulate_reversible_batch",
-    "measure_probs", "order_finding_distribution",
+    "DENSE_QUBIT_CAP", "NX_CAP", "N_CAP", "Distribution", "basis_state",
+    "simulate_dense", "circuit_unitary", "simulate_reversible",
+    "simulate_reversible_batch", "measure_probs", "order_finding_distribution",
 ]
 
 DENSE_QUBIT_CAP = 14
-# Order finding holds 2**n_x inputs at about 80 bytes each, and printing a
-# full support costs ~95 (CSV) to ~145 (JSON) bytes per outcome: ~270 MB.
+# An order-finding distribution has up to 2**n_x outcomes, and building and
+# printing a full support costs ~180 (CSV) to ~190 (JSON) bytes per outcome.
 NX_CAP = 20
+# Order finding checks each exponent stage on 2N inputs.
+N_CAP = 1 << 16
 _BATCH_WIRE_CAP = 64  # basis indices in and out of the batch engine are uint64
 NORM_TOL = 1e-9
 _PROB_FLOOR = 1e-14  # distributions drop dust below this; lost mass < NORM_TOL
@@ -177,9 +181,9 @@ def _check_all_classical(gates) -> None:
 def _run(gates, planes: list[np.ndarray]) -> None:
     """Apply classical gates in place to a list of equal-length uint64 planes.
 
-    The gates must have passed ``_check_all_classical``.  A SWAP exchanges
-    two list entries, so afterwards ``planes[w]`` is wire w but need not be
-    the array passed in for it.
+    The gates must have passed ``_check_all_classical`` or ``_check_stage``.
+    A SWAP exchanges two list entries, so afterwards ``planes[w]`` is wire w
+    but need not be the array passed in for it.
     """
     tmp = np.empty_like(planes[0]) if planes else None
     xor, and_ = np.bitwise_xor, np.bitwise_and
@@ -213,13 +217,22 @@ def _plane_words(count: int) -> int:
     return -(-count // 64)
 
 
-def _unpack(planes: list[np.ndarray], wires, count: int, dtype) -> np.ndarray:
-    """The first ``count`` lanes as integers whose bit i is on ``wires[i]``."""
-    dtype = np.dtype(dtype)
-    out = np.zeros(count, dtype=dtype)
-    for i, w in enumerate(wires):
-        bits = np.unpackbits(planes[w].view(np.uint8), count=count, bitorder="little")
-        out |= bits.astype(dtype) << dtype.type(i)
+def _pack(values: np.ndarray, bits: int) -> list[np.ndarray]:
+    """Planes of bits 0..bits-1 of non-negative integer ``values``, one lane
+    per value; the number of values must be a multiple of 64."""
+    values = values.astype(np.uint64, copy=False)
+    return [np.packbits((values >> np.uint64(j)) & np.uint64(1),
+                        bitorder="little").view(_PLANE_DTYPE)
+            for j in range(bits)]
+
+
+def _unpack(planes: list[np.ndarray], count: int) -> np.ndarray:
+    """The first ``count`` lanes as uint64 integers whose bit i is on plane i;
+    the inverse of ``_pack``."""
+    out = np.zeros(count, dtype=np.uint64)
+    for i, plane in enumerate(planes):
+        bits = np.unpackbits(plane.view(np.uint8), count=count, bitorder="little")
+        out |= bits.astype(np.uint64) << np.uint64(i)
     return out
 
 
@@ -249,11 +262,9 @@ def simulate_reversible_batch(circuit: Circuit, basis_in) -> np.ndarray:
     count = idx.size
     lanes = np.zeros(64 * _plane_words(count), dtype=np.uint64)
     lanes[:count] = idx.reshape(-1)
-    planes = [np.packbits((lanes >> np.uint64(w)) & np.uint64(1),
-                          bitorder="little").view(_PLANE_DTYPE)
-              for w in range(width)]
+    planes = _pack(lanes, width)
     _run(circuit.gates, planes)
-    return _unpack(planes, range(width), count, np.uint64).reshape(idx.shape)
+    return _unpack(planes, count).reshape(idx.shape)
 
 
 @dataclass(frozen=True)
@@ -330,13 +341,23 @@ class Distribution:
         return list(zip(self.outcomes[order].tolist(),
                         self.probabilities[order].tolist()))
 
+    def _interleaved(self) -> tuple:
+        """Outcome, probability, outcome, ... as Python numbers, the argument
+        of one ``%`` format over all rows."""
+        flat = [0] * (2 * self.outcomes.size)
+        flat[::2] = self.outcomes.tolist()
+        flat[1::2] = self.probabilities.tolist()
+        return tuple(flat)
+
     def to_csv(self) -> str:
-        rows = zip(self.outcomes.tolist(), self.probabilities.tolist())
-        return "outcome,probability\n" + "".join(["%d,%.12g\n" % row
-                                                   for row in rows])
+        return ("outcome,probability\n" + "%d,%.12g\n" * self.outcomes.size
+                % self._interleaved())
 
     def to_json(self) -> str:
-        return json.dumps(dict(self.items()))  # json writes int keys as strings
+        # What json.dumps writes for the dict: int keys as strings, floats
+        # by repr.
+        row = '"%d": %r'
+        return "{" + ", ".join([row] * self.outcomes.size) % self._interleaved() + "}"
 
 
 def measure_probs(state: np.ndarray, wires) -> Distribution:
@@ -363,67 +384,86 @@ def measure_probs(state: np.ndarray, wires) -> Distribution:
     return Distribution.from_dense(t.transpose(perm).reshape(-1))
 
 
-def _lane_bit_plane(bit: int, words: int) -> np.ndarray:
-    """Plane whose lane i holds bit ``bit`` of i: the x wire of that weight."""
-    if bit < 6:  # the pattern repeats inside every word
-        word = sum(1 << i for i in range(64) if i >> bit & 1)
-        return np.full(words, word, dtype=_PLANE_DTYPE)
-    on = (np.arange(words) >> (bit - 6)) & 1
-    return np.where(on == 1, ~np.uint64(0), np.uint64(0)).astype(_PLANE_DTYPE)
+def _check_stage(gates, layout: RegisterLayout, control: int, stage: int) -> None:
+    """Reject an exponent stage before it runs: its gates must be classical
+    and stay inside the layout and off every x wire but ``control``.
 
-
-def _order_finding_planes(layout: RegisterLayout, N: int, words: int
-                          ) -> list[np.ndarray]:
-    """Input planes of |x>|1>|0>|0>|0>|N>|0> with lane i holding x = i."""
-    planes = [np.zeros(words, dtype=_PLANE_DTYPE) for _ in range(layout.width)]
-    for j, w in enumerate(layout.x):
-        planes[w] = _lane_bit_plane(j, words)
-    for wires, value in ((layout.z, 1), (layout.N, N)):
-        for j, w in enumerate(wires):
-            if value >> j & 1:
-                planes[w] = np.full(words, ~np.uint64(0), dtype=_PLANE_DTYPE)
-    return planes
-
-
-def _mod_pow_table(y: int, N: int, n_x: int) -> np.ndarray:
-    """y**x mod N for every x < 2**n_x, independent of the circuit.
-
-    Square-and-multiply over all x at once: the x with bit j set are the x
-    below 2**j shifted by 2**j, so their values are those times
-    y**(2**j) mod N.  Products stay below N**2, far inside int64.
+    Kinds and wires are gathered as sets at C speed; only a failing stage is
+    walked gate by gate, to name the first offender.
     """
-    table = np.array([1 % N], dtype=np.int64)
-    for j in range(n_x):
-        table = np.concatenate((table, table * mod_pow(y, 1 << j, N) % N))
-    return table
+    stray = set(layout.x) - {control}
+    wires = set(chain.from_iterable(map(attrgetter("wires"), gates)))
+    if (CLASSICAL_KINDS.issuperset(map(attrgetter("kind"), gates))
+            and wires.isdisjoint(stray) and max(wires, default=0) < layout.width):
+        return
+    for pos, gate in enumerate(gates):
+        _check_classical(gate, pos)
+        bad = [w for w in gate.wires if w in stray or w >= layout.width]
+        if bad:
+            raise ValueError(
+                f"gate {pos} of exponent stage {stage} ({gate.kind.value} on "
+                f"wires {gate.wires}) touches wire {bad[0]}; the stage may act "
+                f"only on x wire {control} and wires {layout.n_x} to "
+                f"{layout.width - 1}")
+
+
+def _order(y: int, N: int, limit: int) -> int:
+    """Multiplicative order of y mod N, or ``limit`` if it is not below that."""
+    r, acc = 1, y % N
+    while acc != 1 and r < limit:
+        acc = acc * y % N
+        r += 1
+    return r
 
 
 @lru_cache(maxsize=32)
 def _order_finding_probs(N: int, y: int, n_x: int) -> Distribution:
-    params = templates.TemplateParams(N=N, y=y, n_x=n_x)
-    circuit = templates.modular_exponentiation(params)
-    layout = params.layout
+    layout = RegisterLayout(n_x, N.bit_length())
+    z_wires = list(layout.z)
+    multipliers = [mod_pow(y, 1 << i, N) for i in range(n_x)]
+    # Lane l < 2N holds the stage input (c, z) = (l >= N, l mod N); the
+    # padding lanes of the last word hold (0, 0), a valid input as well.
+    lane = np.arange(64 * _plane_words(2 * N), dtype=np.int64)
+    c = (lane >= N) & (lane < 2 * N)
+    z = np.where(lane < 2 * N, lane % N, 0)
+    state = np.zeros((layout.width, lane.size // 64), dtype=_PLANE_DTYPE)
+    state[z_wires] = _pack(z, layout.n)
+    state[list(layout.N)] = _pack(np.full(lane.size, N), layout.n)
+    c_plane = _pack(c, 1)[0]
+
+    # Stage i must multiply z by m_i**c mod N on every input, touch no x
+    # wire but its control x_i, keep x_i and N and clear every ancilla.
+    # Then, by induction over the stages, the circuit maps |x>|1> to
+    # |x>|y**x mod N> with every other register restored.
+    stages = 0
+    for i, (control, m, gates) in enumerate(templates._exponent_stages(layout, y, N)):
+        if i == n_x:
+            raise RuntimeError("the modular exponentiation circuit has more "
+                               f"than {n_x} exponent stages")
+        if (control, m) != (layout.x[i], multipliers[i]):
+            raise RuntimeError(
+                f"exponent stage {i} multiplies by {m} under wire {control}, "
+                f"not by y**(2**{i}) mod N = {multipliers[i]} under x wire "
+                f"{layout.x[i]}")
+        _check_stage(gates, layout, control, i)
+        inputs = state.copy()
+        inputs[control] = c_plane
+        expected = inputs.copy()
+        expected[z_wires] = _pack(np.where(c, z * m % N, z), layout.n)
+        planes = list(inputs)
+        _run(gates, planes)
+        if not np.array_equal(planes, expected):
+            raise RuntimeError(f"exponent stage {i} of the modular exponentiation "
+                               "circuit disagrees with the classical reference")
+        stages += 1
+    if stages != n_x:
+        raise RuntimeError(f"the modular exponentiation circuit has {stages} "
+                           f"exponent stages, not {n_x}")
+
+    # The values y**x mod N repeat with the order of y, and are distinct
+    # below M when that order is M or more.
     M = 1 << n_x
-    _check_all_classical(circuit.gates)
-    expected = _order_finding_planes(layout, N, _plane_words(M))
-    planes = [p.copy() for p in expected]
-    _run(circuit.gates, planes)
-
-    f = _unpack(planes, layout.z, M, np.int64)
-    # x and N must come back intact and every ancilla cleared, so the whole
-    # output is determined by x and f(x).
-    z = set(layout.z)
-    intact = all(np.array_equal(planes[w], expected[w])
-                 for w in range(layout.width) if w not in z)
-    if not (intact and np.array_equal(f, _mod_pow_table(y, N, n_x))):
-        raise RuntimeError("modular exponentiation circuit disagrees with the "
-                           "classical reference")
-
-    # f is y**x mod N exactly, so its period is the order of y, or M when no
-    # value repeats below M.
-    repeats = np.flatnonzero(f[1:] == f[0])
-    period = int(repeats[0]) + 1 if repeats.size else M
-    return Distribution.from_dense(_period_probs(period, M))
+    return Distribution.from_dense(_period_probs(_order(y, N, M), M))
 
 
 def _period_probs(r: int, M: int) -> np.ndarray:
@@ -459,33 +499,37 @@ def _fejer(c: int, m: np.ndarray, M: int) -> np.ndarray:
 def order_finding_distribution(N: int, y: int, n_x: int) -> Distribution:
     """Exact measurement distribution of the order-finding exponent register.
 
-    Evaluates y^x mod N for every basis x by running the actual modular-
-    exponentiation circuit through the reversible engine (cross-checked
-    against a vectorised mod_pow table), then takes the inverse DFT in
-    closed form from the period of y^x mod N (see ``_period_probs``), which
+    Checks the actual modular-exponentiation circuit one exponent stage at a
+    time (see ``_order_finding_probs``): each stage runs through the
+    reversible engine on its 2N inputs and must multiply z by y^(2^i) mod N
+    under its control bit and restore every other register, so the circuit
+    maps x to y^x mod N.  The inverse DFT is then taken in closed form from
+    the period of y^x mod N, the order of y (see ``_period_probs``), which
     sidesteps the full-width dense state.
 
-    Memory grows with M = 2**n_x: about 80 bytes per input for the arrays of
-    the evaluation, and 16 per outcome with support for the two arrays of the
-    result (peak RSS 111 MB at n_x = 20 with 4 outcomes, 121 MB with all M).
-    Writing all M outcomes out as CSV or JSON adds about 95 or 145 bytes
-    each, so ``simulate --N 221 --y 3 --nx 20`` peaks at 219 or 270 MB.
-    n_x is therefore capped at NX_CAP = 20, and the circuit must fit the
-    batch engine's 64 wires.  Both limits are checked before anything is
-    built.  Results are cached; the returned distribution is read-only and
-    may be shared between callers.
+    The check holds a few ceil(2N/64)-word planes per wire and a few 2N-lane
+    arrays: 0.3 MiB at N = 511 and 11 MiB at N = 65521 (n_x = 20, by
+    tracemalloc), and its time grows with N, so N is capped at N_CAP = 2**16.
+    The result grows with M = 2**n_x: the closed form takes about 56 bytes
+    per outcome while it runs and the result keeps 16 per outcome with
+    support (peak RSS 87 MB at n_x = 20, with 4 outcomes or all M).  Writing
+    all M outcomes out as CSV or JSON adds about 96 or 107 bytes each, so
+    ``simulate --N 221 --y 3 --nx 20`` peaks at 188 or 199 MB; NX_CAP = 20
+    bounds this output.  Both caps are checked before anything is built.
+    Results are cached; the returned distribution is read-only and may be
+    shared between callers.
     """
     if N < 2:
         raise ValueError(f"modulus N must be >= 2, got {N}")
+    if N >= N_CAP:
+        raise ValueError(f"N = {N} exceeds the order-finding evaluator's cap of "
+                         f"{N_CAP - 1} (each exponent stage is checked on 2N inputs)")
     if gcd(y % N, N) != 1:
         raise ValueError(f"base {y} is not coprime to {N}")
     if n_x < 1:
         raise ValueError(f"n_x must be >= 1, got {n_x}")
     if n_x > NX_CAP:
         raise ValueError(f"n_x = {n_x} exceeds the order-finding evaluator's "
-                         f"cap of {NX_CAP} (2**n_x inputs are held in memory)")
-    width = RegisterLayout(n_x, N.bit_length()).width
-    if width > _BATCH_WIRE_CAP:
-        raise ValueError(f"N = {N} with n_x = {n_x} needs {width} wires; the "
-                         f"batch engine handles at most {_BATCH_WIRE_CAP}")
+                         f"cap of {NX_CAP} (the distribution has up to 2**n_x "
+                         "outcomes)")
     return _order_finding_probs(N, y % N, n_x)

@@ -14,6 +14,7 @@ ancilla registers bit-exactly.
 """
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -209,19 +210,29 @@ def ctrl_swap(control: int, t0: int, t1: int) -> Circuit:
     return _wrap([FREDKIN(control, t0, t1)], control, t0, t1)
 
 
-def _modular_exponentiation_gates(layout: RegisterLayout, y: int, N: int) -> list[Gate]:
+def _exponent_stages(layout: RegisterLayout, y: int, N: int
+                     ) -> Iterator[tuple[int, int, list[Gate]]]:
+    """Stage i of MODULAR_EXPONENTIATION for each exponent bit i, in order.
+
+    Yields ``(control, multiplier, gates)``: the control is x_i, the
+    multiplier m_i = y^(2^i) mod N, and the gates are CMM(m_i), SWAP(z, b),
+    then CMM(m_i^-1) reversed, all controlled by x_i.  A stage maps
+    |x_i>|z>|0>|0>|0>|N>|0> to |x_i>|z*m_i^(x_i) mod N>|0>|0>|0>|N>|0>, so
+    the stages together map z = 1 to y^x mod N.
+    """
     if gcd(y % N, N) != 1:
         raise ValueError(f"base {y} is not coprime to {N}")
-    multipliers = precompute_multipliers(y, N, layout.n_x)
     z, b, n = layout.z, layout.b, layout.n
-    gates: list[Gate] = []
-    for i, m_i in enumerate(multipliers):
-        control = layout.x[i]
-        gates += _ctrl_mult_mod_gates(layout, m_i, N, control)
-        gates += [SWAP(z[j], b[j]) for j in range(n)]
+    swap_zb = [SWAP(z[j], b[j]) for j in range(n)]
+    for control, m_i in zip(layout.x, precompute_multipliers(y, N, layout.n_x)):
         inv_m = modular_multiplicative_inverse(m_i, N)
-        gates += _inverted(_ctrl_mult_mod_gates(layout, inv_m, N, control))
-    return gates
+        yield control, m_i, (
+            _ctrl_mult_mod_gates(layout, m_i, N, control) + swap_zb
+            + _inverted(_ctrl_mult_mod_gates(layout, inv_m, N, control)))
+
+
+def _modular_exponentiation_gates(layout: RegisterLayout, y: int, N: int) -> list[Gate]:
+    return [gate for _, _, gates in _exponent_stages(layout, y, N) for gate in gates]
 
 
 def modular_exponentiation(params: TemplateParams) -> Circuit:

@@ -108,6 +108,18 @@ def compact(circuit: Circuit) -> Circuit:
     return Circuit(len(touched), gates)
 
 
+def grouped_fft_probs(f: np.ndarray) -> np.ndarray:
+    """Oracle: the post inverse-QFT amplitude of outcome k from the inputs
+    mapping to value v is (1/M) sum_{x: f(x)=v} exp(-2 pi i k x / M); so
+    group the inputs by value, DFT each indicator and sum the squares."""
+    f = np.asarray(f)
+    M = f.size
+    probs = np.zeros(M)
+    for value in np.unique(f):
+        probs += np.abs(np.fft.fft((f == value).astype(float))) ** 2
+    return probs / float(M) ** 2
+
+
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(20240917)

@@ -1,11 +1,14 @@
+import io
 import json
 import math
 
+import numpy as np
 import pytest
 
 from ionshor import cli, simulator
 from ionshor.circuit import parse
 from ionshor.cli import main
+from conftest import grouped_fft_probs
 
 
 def run(capsys, *argv):
@@ -109,15 +112,22 @@ def test_simulate_rejects_shots_beyond_cap(capsys, monkeypatch):
         assert code == 1 and f"--shots must be <= {cli.MAX_SHOTS}" in err
 
 
-def test_simulate_rejects_modulus_beyond_batch_engine(capsys):
-    code, _, err = run(capsys, "simulate", "--N", "257", "--y", "3")
-    assert code == 1 and "N = 257 with n_x = 20" in err
+def test_simulate_runs_modulus_beyond_64_wires(capsys):
+    # n_x = 20 gives 67 wires; 256 = -1 has order 2 mod 257
+    code, out, _ = run(capsys, "simulate", "--N", "257", "--y", "256")
+    assert code == 0
+    assert out.startswith("outcome,probability\n")
+    rows = np.loadtxt(io.StringIO(out), delimiter=",", skiprows=1, ndmin=2)
+    got = np.zeros(1 << 20)
+    got[rows[:, 0].astype(np.int64)] = rows[:, 1]
+    oracle = grouped_fft_probs([pow(256, x, 257) for x in range(1 << 20)])
+    assert np.abs(got - oracle).max() <= 1e-12
 
 
 def test_simulate_rejects_n_x_beyond_memory_cap(capsys, monkeypatch):
     def unreachable(*args):
         raise AssertionError("circuit built before the n_x check")
-    monkeypatch.setattr(simulator.templates, "modular_exponentiation", unreachable)
+    monkeypatch.setattr(simulator.templates, "_exponent_stages", unreachable)
     code, _, err = run(capsys, "simulate", "--N", "15", "--y", "7", "--nx", "40")
     assert code == 1 and "n_x = 40" in err
 

@@ -6,7 +6,7 @@ import pytest
 
 from ionshor import simulator
 from ionshor.circuit import (
-    CNOT, FREDKIN, H, R, SWAP, TOFFOLI, X, Circuit, RegisterLayout,
+    CNOT, FREDKIN, H, R, SWAP, TOFFOLI, X, Circuit, GateKind, RegisterLayout,
 )
 from ionshor.simulator import (
     Distribution, basis_state, circuit_unitary, measure_probs,
@@ -16,7 +16,7 @@ from ionshor.simulator import (
 from ionshor.templates import (
     TemplateParams, adder, modular_exponentiation, qft_inv,
 )
-from conftest import oracle_unitary, random_circuit
+from conftest import grouped_fft_probs, oracle_unitary, random_circuit
 
 
 def test_empty_circuit_keeps_state():
@@ -121,13 +121,13 @@ def test_batch_rejects_more_than_64_wires():
         simulate_reversible_batch(Circuit(70, [X(66), CNOT(66, 2)]), [0])
 
 
-def test_order_finding_distribution_rejects_wide_circuits(monkeypatch):
-    def unreachable(*args):
-        raise AssertionError("circuit built before the width check")
-    monkeypatch.setattr(simulator.templates, "modular_exponentiation", unreachable)
-    # N = 257 has n = 9, so n_x = 20 gives 20 + 5*9 + 2 = 67 wires
-    with pytest.raises(ValueError, match=r"N = 257 with n_x = 20 needs 67 wires"):
-        order_finding_distribution(257, 3, 20)
+@pytest.mark.parametrize("N,y,n_x", [(257, 2, 18), (511, 2, 18)])
+def test_order_finding_distribution_runs_wide_circuits(N, y, n_x):
+    # 65 wires, more than a uint64 basis index holds: each exponent
+    # stage is checked on its own 2N inputs, so no such index is formed
+    assert RegisterLayout(n_x, N.bit_length()).width > 64
+    dist = order_finding_distribution(N, y, n_x)
+    assert_matches_oracle(dense(dist, n_x), [pow(y, x, N) for x in range(1 << n_x)])
 
 
 def _assert_batch_matches_singles(circuit, inputs):
@@ -199,51 +199,126 @@ def test_batch_rejects_inputs_that_are_not_basis_indices(inputs, message):
         simulate_reversible_batch(Circuit(2, [X(0)]), inputs)
 
 
+EXPONENT_STAGES = simulator.templates._exponent_stages
+
+
+def _add_fault(monkeypatch, at_stage: int, make_gate) -> list:
+    """Patch the stage generator so that exponent stage ``at_stage`` ends with
+    ``make_gate(layout, control)``.  Returns a list that receives the
+    position of each such gate in its stage, and the gate itself."""
+    added = []
+
+    def faulty(layout, y, N):
+        for i, (control, m, gates) in enumerate(EXPONENT_STAGES(layout, y, N)):
+            if i == at_stage:
+                added.append((len(gates), make_gate(layout, control)))
+                gates = gates + [added[-1][1]]
+            yield control, m, gates
+
+    monkeypatch.setattr(simulator.templates, "_exponent_stages", faulty)
+    simulator._order_finding_probs.cache_clear()
+    return added
+
+
+def _run_refusing(monkeypatch, added: list) -> None:
+    """Make the engine fail if it is handed any gate in ``added``."""
+    run = simulator._run
+
+    def guarded(gates, planes):
+        assert not any(g is bad for _, bad in added for g in gates), \
+            "engine ran a faulty stage"
+        run(gates, planes)
+    monkeypatch.setattr(simulator, "_run", guarded)
+
+
 def test_order_finding_distribution_rejects_non_classical_gate_before_run(
         monkeypatch):
-    build = simulator.templates.modular_exponentiation
+    for stage in (0, 6):
+        added = _add_fault(monkeypatch, stage, lambda layout, control: H(control))
+        _run_refusing(monkeypatch, added)
+        with pytest.raises(ValueError, match=r"gate \d+ is H") as info:
+            order_finding_distribution(11, 2, 7)
+        assert f"gate {added[0][0]} is H" in str(info.value)
 
-    def with_hadamard(params):
-        circuit = build(params)
-        return Circuit(circuit.width, list(circuit.gates) + [H(params.layout.x[0])],
-                       params.layout)
 
-    def unreachable(*args):
-        raise AssertionError("engine ran before the classical check")
-    monkeypatch.setattr(simulator.templates, "modular_exponentiation", with_hadamard)
-    monkeypatch.setattr(simulator, "_run", unreachable)
-    simulator._order_finding_probs.cache_clear()
-    count = len(build(TemplateParams(N=11, y=2, n_x=7)).gates)
-    with pytest.raises(ValueError, match=f"gate {count} is H"):
+@pytest.mark.parametrize("stage,wire", [(0, 3), (3, 0), (6, 5), (2, 29)])
+def test_order_finding_distribution_rejects_stray_wires_before_run(
+        monkeypatch, stage, wire):
+    # a stage may act on no exponent wire but its own control, nor beyond
+    # the layout's 29 wires; both are caught from the gate list alone
+    assert RegisterLayout(7, 4).width == 29
+    added = _add_fault(monkeypatch, stage, lambda layout, control: CNOT(control, wire))
+    _run_refusing(monkeypatch, added)
+    with pytest.raises(ValueError, match=f"touches wire {wire};") as info:
         order_finding_distribution(11, 2, 7)
+    assert f"gate {added[0][0]} of exponent stage {stage} " in str(info.value)
 
 
 def test_order_finding_distribution_caps_n_x_before_building(monkeypatch):
     def unreachable(*args):
-        raise AssertionError("circuit built before the n_x check")
-    monkeypatch.setattr(simulator.templates, "modular_exponentiation", unreachable)
-    # 40 + 5*4 + 2 = 62 wires fit the engine; 2**40 inputs do not fit memory
+        raise AssertionError("stages built before the n_x check")
+    monkeypatch.setattr(simulator.templates, "_exponent_stages", unreachable)
+    # 2**40 outcomes do not fit memory
     with pytest.raises(ValueError, match=r"n_x = 40 exceeds .* cap of 20"):
         order_finding_distribution(15, 7, 40)
     with pytest.raises(ValueError, match=r"n_x = 21"):
         order_finding_distribution(15, 7, simulator.NX_CAP + 1)
 
 
+def test_order_finding_distribution_caps_modulus_before_building(monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("stages built before the N check")
+    monkeypatch.setattr(simulator.templates, "_exponent_stages", unreachable)
+    # each stage is checked on 2N inputs
+    with pytest.raises(ValueError, match=r"N = 65537 exceeds .* cap of 65535"):
+        order_finding_distribution(simulator.N_CAP + 1, 3, 4)
+    with pytest.raises(ValueError, match=rf"N = {2 ** 100 + 21} exceeds"):
+        order_finding_distribution(2 ** 100 + 21, 3, 4)
+
+
 @pytest.mark.parametrize("fault", ["ancilla", "z", "x", "N"])
 def test_order_finding_distribution_rejects_a_faulty_circuit(monkeypatch, fault):
-    build = simulator.templates.modular_exponentiation
+    def fault_gate(layout, control):
+        return {"ancilla": CNOT(control, layout.b[-1]),
+                "z": CNOT(control, layout.z[0]),
+                "x": CNOT(layout.z[0], control),
+                "N": CNOT(control, layout.N[1])}[fault]
 
-    def faulty(params):
-        circuit = build(params)
-        layout = params.layout
-        wire = {"ancilla": layout.b[-1], "z": layout.z[0],
-                "x": layout.x[3], "N": layout.N[1]}[fault]
-        return Circuit(circuit.width,
-                       list(circuit.gates) + [CNOT(layout.x[1], wire)], layout)
+    for stage in (0, 1, 6):
+        _add_fault(monkeypatch, stage, fault_gate)
+        with pytest.raises(RuntimeError, match=f"stage {stage} .* disagrees"):
+            order_finding_distribution(11, 2, 7)
 
-    monkeypatch.setattr(simulator.templates, "modular_exponentiation", faulty)
+
+@pytest.mark.parametrize("change,message", [
+    ("drop last", "has 6 exponent stages, not 7"),
+    ("swap first two", "stage 0 multiplies by 4 under wire 1, not by .* = 2 under"),
+    ("extra", "more than 7 exponent stages"),
+    ("wrong multiplier", "stage 2 multiplies by 3 under wire 2, not by .* = 5 "),
+    ("wrong control", "stage 2 multiplies by 5 under wire 3, not by .* = 5 "),
+])
+def test_order_finding_distribution_rejects_misordered_stages(
+        monkeypatch, change, message):
+    # every stage can be right on its own while the sequence is wrong; the
+    # multipliers of 2 mod 11 are 2, 4, 5, 3, 9, 4, 5
+    def changed(layout, y, N):
+        out = list(EXPONENT_STAGES(layout, y, N))
+        control, m, gates = out[2]
+        if change == "drop last":
+            out.pop()
+        elif change == "swap first two":
+            out[0], out[1] = out[1], out[0]
+        elif change == "extra":
+            out.append(out[-1])
+        elif change == "wrong multiplier":
+            out[2] = (control, m * m % N, gates)
+        else:
+            out[2] = (layout.x[3], m, gates)
+        return iter(out)
+
+    monkeypatch.setattr(simulator.templates, "_exponent_stages", changed)
     simulator._order_finding_probs.cache_clear()
-    with pytest.raises(RuntimeError, match="disagrees"):
+    with pytest.raises(RuntimeError, match=message):
         order_finding_distribution(11, 2, 7)
 
 
@@ -318,18 +393,14 @@ def test_structured_matches_dense_pipeline():
         assert dense_probs.prob(k) == pytest.approx(structured.prob(k), abs=1e-9)
 
 
-def grouped_fft_probs(f: np.ndarray) -> np.ndarray:
-    """Oracle: the post inverse-QFT amplitude of outcome k from the inputs
-    mapping to value v is (1/M) sum_{x: f(x)=v} exp(-2 pi i k x / M); so
-    group the inputs by value, DFT each indicator and sum the squares."""
-    M = f.size
-    probs = np.zeros(M)
-    for value in np.unique(f):
-        probs += np.abs(np.fft.fft((f == value).astype(float))) ** 2
-    return probs / float(M) ** 2
+def dense(dist: Distribution, n_x: int) -> np.ndarray:
+    """All 2**n_x outcome probabilities, zero off the support."""
+    probs = np.zeros(1 << n_x)
+    probs[dist.outcomes] = dist.probabilities
+    return probs
 
 
-def assert_matches_oracle(closed: np.ndarray, f: np.ndarray) -> None:
+def assert_matches_oracle(closed: np.ndarray, f) -> None:
     oracle = grouped_fft_probs(f)
     assert np.abs(closed - oracle).max() <= 1e-12
     floor = simulator._PROB_FLOOR
@@ -355,9 +426,15 @@ def test_period_probs_match_grouped_fft(n_x, r):
 ])
 def test_order_finding_distribution_matches_grouped_fft(N, y, n_x):
     dist = order_finding_distribution(N, y, n_x)
-    closed = np.zeros(1 << n_x)
-    closed[dist.outcomes] = dist.probabilities
-    assert_matches_oracle(closed, simulator._mod_pow_table(y, N, n_x))
+    assert_matches_oracle(dense(dist, n_x), [pow(y, x, N) for x in range(1 << n_x)])
+
+
+@pytest.mark.parametrize("r", [1, 3, 6, 255, 256, 508, 510])
+def test_prob_floor_keeps_the_mass_at_the_n_x_cap(r):
+    # N < 512 at n_x = NX_CAP gives orders up to 510; the dust below
+    # _PROB_FLOOR that from_dense drops leaves the sum within 2 ulps of 1
+    dist = Distribution.from_dense(simulator._period_probs(r, 1 << simulator.NX_CAP))
+    assert abs(dist.probabilities.sum() - 1.0) <= 2 * np.finfo(float).eps
 
 
 def test_order_finding_distribution_beyond_register_is_uniform():
@@ -460,6 +537,22 @@ def test_distribution_matches_dict_reference(rng):
         got_o, got_p = dist.sampling_arrays()
         assert got_o.tolist() == keys
         assert got_p.tobytes() == (ref_p / ref_p.sum()).tobytes()
+
+
+@pytest.mark.parametrize("outcomes,probs", [
+    ([0], [1.0]),
+    ([3, 7, 1 << 40], [0.1, 0.9 - 1e-300, 1e-300]),
+    (list(range(0, 530, 10)), [2.0 ** -k for k in range(1, 53)] + [2.0 ** -52]),
+    ([5, 6], [1 / 3, 2 / 3]),
+])
+def test_writers_match_row_by_row_formatting(outcomes, probs):
+    # each writer formats all rows in one % operation; the bytes must be
+    # those of one format per row and of json.dumps
+    dist = Distribution(np.array(outcomes), np.array(probs))
+    rows = list(zip(outcomes, probs))
+    assert dist.to_csv() == "outcome,probability\n" + "".join(
+        "%d,%.12g\n" % row for row in rows)
+    assert dist.to_json() == json.dumps(dict(rows))
 
 
 def test_distribution_arrays_are_read_only_and_cached():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ionshor import templates
-from ionshor.circuit import Circuit, GateKind, RegisterLayout, inverse
+from ionshor.circuit import SWAP, Circuit, GateKind, RegisterLayout, inverse
 from ionshor.simulator import circuit_unitary, simulate_reversible
 from ionshor.templates import (
     TemplateParams, adder, adder_inv, adder_mod, adder_mod_inv, carry_gate,
@@ -176,6 +176,25 @@ def test_arithmetic_blocks_invert_by_reversal(N):
               modular_exponentiation(params)):
         assert {g.kind for g in c.gates} <= SELF_ADJOINT
         assert Circuit(c.width, templates._inverted(list(c.gates))) == inverse(c)
+
+
+@pytest.mark.parametrize("N", [3, 5, 7, 15, 21, 33])
+def test_exponent_stages_make_up_modular_exponentiation(N):
+    # the order-finding evaluator checks these stages, so they must be the
+    # circuit's own gates, each built as CMM(m_i), SWAP(z, b), CMM(m_i^-1)^-1
+    params = TemplateParams(N=N, y=2, n_x=4)
+    layout = params.layout
+    stages = list(templates._exponent_stages(layout, 2, N))
+    assert [g for _, _, gates in stages for g in gates] \
+        == list(modular_exponentiation(params).gates)
+    swaps = tuple(SWAP(z, b) for z, b in zip(layout.z, layout.b))
+    assert len(stages) == 4
+    for i, (control, m, gates) in enumerate(stages):
+        assert (control, m) == (layout.x[i], pow(2, 2 ** i, N))
+        multiply = ctrl_mult_mod(TemplateParams(N=N, m=m, n_x=4), control)
+        unmultiply = ctrl_mult_mod_inv(
+            TemplateParams(N=N, m=pow(m, -1, N), n_x=4), control)
+        assert tuple(gates) == multiply.gates + swaps + unmultiply.gates
 
 
 def test_modular_exponentiation_rejects_non_coprime_base():
