@@ -2,9 +2,9 @@
 
 The dense engine applies each gate by stride iteration over the amplitude
 tensor (no full 2^n x 2^n matrices are ever formed).  The reversible engine
-propagates a single basis index through classical gates, with a bit-sliced
-batch variant that stores each wire as a uint64 plane holding 64 inputs per
-word and applies the circuit's own Gate objects, one by one, to whole planes.
+is bit-sliced: each wire is a Python int whose bit i is that wire's bit for
+input i, and the circuit's own Gate objects are applied one by one as one or
+two big-int operations on whole planes; a single basis index is one lane.
 The structured order-finding evaluator checks the modular exponentiation
 exactly, one exponent stage at a time: it runs each stage's gates through
 that engine on the stage's 2N inputs (control bit and z < N), never on the
@@ -143,32 +143,10 @@ def simulate_reversible(circuit: Circuit, basis_in: int) -> int:
     if not 0 <= basis_in < (1 << circuit.width):
         raise ValueError(f"basis index {basis_in} out of range "
                          f"for width {circuit.width}")
-    bits = basis_in
-    for pos, gate in enumerate(circuit.gates):
-        _check_classical(gate, pos)
-        kind, w = gate.kind, gate.wires
-        if kind is GateKind.X:
-            bits ^= 1 << w[0]
-        elif kind is GateKind.CNOT:
-            if bits >> w[0] & 1:
-                bits ^= 1 << w[1]
-        elif kind is GateKind.TOFFOLI:
-            if bits >> w[0] & 1 and bits >> w[1] & 1:
-                bits ^= 1 << w[2]
-        elif kind is GateKind.SWAP:
-            b0, b1 = bits >> w[0] & 1, bits >> w[1] & 1
-            if b0 != b1:
-                bits ^= (1 << w[0]) | (1 << w[1])
-        else:  # FREDKIN
-            if bits >> w[0] & 1:
-                b0, b1 = bits >> w[1] & 1, bits >> w[2] & 1
-                if b0 != b1:
-                    bits ^= (1 << w[1]) | (1 << w[2])
-    return bits
-
-
-# Lane i of a plane is bit i of its little-endian uint64 words.
-_PLANE_DTYPE = np.dtype("<u8")
+    _check_all_classical(circuit.gates)
+    planes = [basis_in >> w & 1 for w in range(circuit.width)]
+    _run(circuit.gates, planes, 1)
+    return sum(bit << w for w, bit in enumerate(planes))
 
 
 def _check_all_classical(gates) -> None:
@@ -178,72 +156,64 @@ def _check_all_classical(gates) -> None:
             _check_classical(gate, pos)  # raises
 
 
-def _run(gates, planes: list[np.ndarray]) -> None:
-    """Apply classical gates in place to a list of equal-length uint64 planes.
+def _run(gates, planes: list[int], mask: int) -> None:
+    """Apply classical gates in place to a list of int bit planes.
 
-    The gates must have passed ``_check_all_classical`` or ``_check_stage``.
-    A SWAP exchanges two list entries, so afterwards ``planes[w]`` is wire w
-    but need not be the array passed in for it.
+    Plane w holds wire w's bit for input i as its bit i; ``mask`` has a one
+    for every input, so X flips no bit past the last one.  Each gate is one
+    or two big-int operations on whole planes.  The gates must have passed
+    ``_check_all_classical`` or ``_check_stage``.
     """
-    tmp = np.empty_like(planes[0]) if planes else None
-    xor, and_ = np.bitwise_xor, np.bitwise_and
     # Local names: enum class attribute lookups are slow per gate.
     x, cnot, toffoli, swap = GateKind.X, GateKind.CNOT, GateKind.TOFFOLI, GateKind.SWAP
-    # Every ufunc below writes its result into its last argument.
     for gate in gates:
         kind, w = gate.kind, gate.wires
         if kind is cnot:
             a, b = w
-            xor(planes[b], planes[a], planes[b])
+            planes[b] ^= planes[a]
         elif kind is toffoli:
             a, b, c = w
-            and_(planes[a], planes[b], tmp)
-            xor(planes[c], tmp, planes[c])
+            planes[c] ^= planes[a] & planes[b]
         elif kind is swap:
             a, b = w
             planes[a], planes[b] = planes[b], planes[a]
         elif kind is x:
-            a = w[0]
-            np.invert(planes[a], planes[a])
+            planes[w[0]] ^= mask
         else:  # FREDKIN
             a, b, c = w
-            xor(planes[b], planes[c], tmp)
-            and_(tmp, planes[a], tmp)
-            xor(planes[b], tmp, planes[b])
-            xor(planes[c], tmp, planes[c])
+            t = (planes[b] ^ planes[c]) & planes[a]
+            planes[b] ^= t
+            planes[c] ^= t
 
 
-def _plane_words(count: int) -> int:
-    return -(-count // 64)
-
-
-def _pack(values: np.ndarray, bits: int) -> list[np.ndarray]:
+def _pack(values: np.ndarray, bits: int) -> list[int]:
     """Planes of bits 0..bits-1 of non-negative integer ``values``, one lane
-    per value; the number of values must be a multiple of 64."""
+    per value."""
     values = values.astype(np.uint64, copy=False)
-    return [np.packbits((values >> np.uint64(j)) & np.uint64(1),
-                        bitorder="little").view(_PLANE_DTYPE)
+    return [int.from_bytes(np.packbits((values >> np.uint64(j)) & np.uint64(1),
+                                       bitorder="little").tobytes(), "little")
             for j in range(bits)]
 
 
-def _unpack(planes: list[np.ndarray], count: int) -> np.ndarray:
+def _unpack(planes: list[int], count: int) -> np.ndarray:
     """The first ``count`` lanes as uint64 integers whose bit i is on plane i;
     the inverse of ``_pack``."""
     out = np.zeros(count, dtype=np.uint64)
+    size = -(-count // 8)
     for i, plane in enumerate(planes):
-        bits = np.unpackbits(plane.view(np.uint8), count=count, bitorder="little")
+        raw = np.frombuffer(plane.to_bytes(size, "little"), dtype=np.uint8)
+        bits = np.unpackbits(raw, count=count, bitorder="little")
         out |= bits.astype(np.uint64) << np.uint64(i)
     return out
 
 
 def simulate_reversible_batch(circuit: Circuit, basis_in) -> np.ndarray:
-    """Vectorized reversible engine on bit-sliced uint64 planes.
+    """Vectorized reversible engine on bit-sliced planes.
 
-    Each wire is one plane of ceil(M/64) words holding that wire's bit for
-    64 of the M inputs per word, and each of the circuit's gates is applied
-    as one or a few bitwise operations on whole planes.  Basis indices in
-    are non-negative integers and out are uint64 words, so circuits wider
-    than 64 wires are rejected.
+    Each wire is one Python int whose bit i is that wire's bit for input i,
+    and each of the circuit's gates is applied as one or two big-int
+    operations on whole planes.  Basis indices in are non-negative integers
+    and out are uint64 words, so circuits wider than 64 wires are rejected.
     """
     width = circuit.width
     if width > _BATCH_WIRE_CAP:
@@ -259,12 +229,9 @@ def simulate_reversible_batch(circuit: Circuit, basis_in) -> np.ndarray:
     idx = idx.astype(np.uint64, copy=False)
     if idx.size and int(idx.max()) >= (1 << width):
         raise ValueError("basis index out of range for circuit width")
-    count = idx.size
-    lanes = np.zeros(64 * _plane_words(count), dtype=np.uint64)
-    lanes[:count] = idx.reshape(-1)
-    planes = _pack(lanes, width)
-    _run(circuit.gates, planes)
-    return _unpack(planes, count).reshape(idx.shape)
+    planes = _pack(idx.reshape(-1), width)
+    _run(circuit.gates, planes, (1 << idx.size) - 1)
+    return _unpack(planes, idx.size).reshape(idx.shape)
 
 
 @dataclass(frozen=True)
@@ -419,17 +386,18 @@ def _order(y: int, N: int, limit: int) -> int:
 @lru_cache(maxsize=32)
 def _order_finding_probs(N: int, y: int, n_x: int) -> Distribution:
     layout = RegisterLayout(n_x, N.bit_length())
-    z_wires = list(layout.z)
     multipliers = [mod_pow(y, 1 << i, N) for i in range(n_x)]
-    # Lane l < 2N holds the stage input (c, z) = (l >= N, l mod N); the
-    # padding lanes of the last word hold (0, 0), a valid input as well.
-    lane = np.arange(64 * _plane_words(2 * N), dtype=np.int64)
-    c = (lane >= N) & (lane < 2 * N)
-    z = np.where(lane < 2 * N, lane % N, 0)
-    state = np.zeros((layout.width, lane.size // 64), dtype=_PLANE_DTYPE)
-    state[z_wires] = _pack(z, layout.n)
-    state[list(layout.N)] = _pack(np.full(lane.size, N), layout.n)
-    c_plane = _pack(c, 1)[0]
+    # Lane l < 2N holds the stage input (c, z) = (l >= N, l mod N): each z
+    # plane repeats its N-lane plane of 0..N-1 above bit N.
+    z = np.arange(N)
+    low = (1 << N) - 1
+    mask = low << N | low
+    z_planes = _pack(z, layout.n)
+    state = [0] * layout.width
+    for w, plane in zip(layout.z, z_planes):
+        state[w] = plane << N | plane
+    for j, w in enumerate(layout.N):
+        state[w] = mask if N >> j & 1 else 0
 
     # Stage i must multiply z by m_i**c mod N on every input, touch no x
     # wire but its control x_i, keep x_i and N and clear every ancilla.
@@ -446,13 +414,13 @@ def _order_finding_probs(N: int, y: int, n_x: int) -> Distribution:
                 f"not by y**(2**{i}) mod N = {multipliers[i]} under x wire "
                 f"{layout.x[i]}")
         _check_stage(gates, layout, control, i)
-        inputs = state.copy()
-        inputs[control] = c_plane
-        expected = inputs.copy()
-        expected[z_wires] = _pack(np.where(c, z * m % N, z), layout.n)
-        planes = list(inputs)
-        _run(gates, planes)
-        if not np.array_equal(planes, expected):
+        planes = state.copy()
+        planes[control] = low << N
+        expected = planes.copy()
+        for w, plane, product in zip(layout.z, z_planes, _pack(z * m % N, layout.n)):
+            expected[w] = product << N | plane
+        _run(gates, planes, mask)
+        if planes != expected:
             raise RuntimeError(f"exponent stage {i} of the modular exponentiation "
                                "circuit disagrees with the classical reference")
         stages += 1
@@ -507,8 +475,8 @@ def order_finding_distribution(N: int, y: int, n_x: int) -> Distribution:
     the period of y^x mod N, the order of y (see ``_period_probs``), which
     sidesteps the full-width dense state.
 
-    The check holds a few ceil(2N/64)-word planes per wire and a few 2N-lane
-    arrays: 0.3 MiB at N = 511 and 11 MiB at N = 65521 (n_x = 20, by
+    The check holds a few 2N-bit int planes per wire and a few N-element
+    arrays: 0.2 MiB at N = 511 and 2.8 MiB at N = 65521 (n_x = 20, by
     tracemalloc), and its time grows with N, so N is capped at N_CAP = 2**16.
     The result grows with M = 2**n_x: the closed form takes about 56 bytes
     per outcome while it runs and the result keeps 16 per outcome with

@@ -137,14 +137,21 @@ def _assert_batch_matches_singles(circuit, inputs):
         [simulate_reversible(circuit, int(b)) for b in inputs]
 
 
-@pytest.mark.parametrize("count", [0, 1, 63, 64, 65, 1000])
+@pytest.mark.parametrize("count", [0, 1, 63, 64, 65, 130, 1000])
 def test_batch_input_counts_around_word_boundaries(rng, count):
-    # X gates turn the zero padding lanes of the last word to ones; none of
-    # that may reach the outputs
+    # X gates set bits on every plane, and none may reach past the last
+    # input; each circuit holds all five classical kinds
     for _ in range(5):
         c = random_circuit(rng, 9, 40, classical_only=True)
-        c = Circuit(9, [X(w) for w in range(9)] + list(c.gates))
+        c = Circuit(9, [X(w) for w in range(9)] + list(c.gates)
+                    + [CNOT(0, 1), SWAP(2, 3), TOFFOLI(4, 5, 6), FREDKIN(7, 8, 0)])
+        assert {g.kind for g in c.gates} == simulator.CLASSICAL_KINDS
         _assert_batch_matches_singles(c, rng.integers(0, 1 << 9, size=count))
+
+
+def test_batch_x_sets_exactly_one_bit_per_input():
+    out = simulate_reversible_batch(Circuit(1, [X(0)]), np.zeros(65, dtype=np.uint64))
+    assert out.tolist() == [1] * 65
 
 
 def test_batch_duplicate_inputs(rng):
@@ -224,10 +231,10 @@ def _run_refusing(monkeypatch, added: list) -> None:
     """Make the engine fail if it is handed any gate in ``added``."""
     run = simulator._run
 
-    def guarded(gates, planes):
+    def guarded(gates, *args):
         assert not any(g is bad for _, bad in added for g in gates), \
             "engine ran a faulty stage"
-        run(gates, planes)
+        run(gates, *args)
     monkeypatch.setattr(simulator, "_run", guarded)
 
 
@@ -288,6 +295,15 @@ def test_order_finding_distribution_rejects_a_faulty_circuit(monkeypatch, fault)
         _add_fault(monkeypatch, stage, fault_gate)
         with pytest.raises(RuntimeError, match=f"stage {stage} .* disagrees"):
             order_finding_distribution(11, 2, 7)
+
+
+def test_order_finding_distribution_checks_the_last_lane(monkeypatch):
+    # y = 32 = -1 mod 33, so stage 3 multiplies by 1 and leaves z as it
+    # was: the fault fires only on input (c, z) = (1, 32), lane 65 of 66
+    _add_fault(monkeypatch, 3,
+               lambda layout, control: TOFFOLI(control, layout.z[5], layout.t))
+    with pytest.raises(RuntimeError, match="exponent stage 3 .* disagrees"):
+        order_finding_distribution(33, 32, 14)
 
 
 @pytest.mark.parametrize("change,message", [
