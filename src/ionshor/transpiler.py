@@ -13,10 +13,11 @@ The lowering has four steps:
 
 ``transpile`` runs all four steps as one pass over the source gates: the
 fixed factors of each step-3 block go straight into the pending product of
-their wire, no intermediate circuit is built, and each distinct
-(product, wire) is decomposed once per call.  ``lower_toffoli``,
-``lower_two_qubit`` and ``merge_singles`` are stepwise views of the same
-lowering, built from the same tables, and
+their wire and no intermediate circuit is built.  Products are interned 2x2
+matrices, so each distinct (factor, product) step is multiplied once and
+each distinct product is decomposed once per call, whatever its wire.
+``lower_toffoli``, ``lower_two_qubit`` and ``merge_singles`` are stepwise
+views of the same lowering, built from the same tables, and
 ``merge_singles(lower_two_qubit(lower_toffoli(c), s))`` equals
 ``transpile(c, s)`` exactly, gates and phase.
 
@@ -345,43 +346,69 @@ def _text_line(g: Gate) -> str:
     return " ".join([g.kind.value, *map(str, g.wires), *[f"{p:.12g}" for p in g.params]])
 
 
+_JSON_KINDS = {kind: json.dumps(kind.value) for kind in GateKind}
+
+
 def _json_object(g: Gate) -> str:
-    return json.dumps({"gate": g.kind.value, "wires": list(g.wires),
-                       "params": list(g.params)})
+    """``json.dumps({"gate": ..., "wires": [...], "params": [...]})``, which
+    writes an exact int as ``str`` and a finite float as ``float.__repr__``
+    (R and XX params are finite); any other type goes through json.dumps."""
+    return '{"gate": %s, "wires": [%s], "params": [%s]}' % (
+        _JSON_KINDS[g.kind],
+        ", ".join([str(w) if type(w) is int else json.dumps(w) for w in g.wires]),
+        ", ".join([float.__repr__(p) if type(p) is float else json.dumps(p)
+                   for p in g.params]))
 
 
 _IDENTITY_TOL = 1e-12
-
-
-def _flush(pending: np.ndarray, wire: int) -> tuple[tuple[Gate, ...], float]:
-    """A merged single-qubit unitary as <=2 R gates, and its phase."""
-    alpha = cmath.phase(pending[0, 0]) if abs(pending[0, 0]) > 0.5 \
-        else cmath.phase(pending[1, 1])
-    if np.abs(pending - cmath.exp(1j * alpha) * _I2).max() <= _IDENTITY_TOL:
-        return (), alpha  # identity up to phase: drop the rotations entirely
-    p = decompose_unitary(pending)
-    return (R(wire, 2 * p.b + math.pi, p.a - p.c - math.pi / 2),
-            R(wire, -math.pi, -p.c - math.pi / 2)), p.d
+# The (theta, phi) of a product's <=2 R gates, and its phase.
+_Rotations = tuple[tuple[tuple[float, float], ...], float]
 
 
 class _Merger:
     """Step 4: the pending product on each wire and the program so far.
 
-    Each distinct (product, wire) goes through ``_flush`` once per merger;
-    the same bytes always give the same gates and phase.
+    Matrices are interned by bytes: ``mats[i]`` is the i-th distinct 2x2
+    matrix of this merger, and a wire's pending product is such an id.
+    ``steps`` maps (factor id, product id) to the id of factor @ product, so
+    each distinct step is multiplied once; ``angles`` maps a product id to
+    the (theta, phi) of its R gates and its phase, so each distinct product
+    is decomposed once; ``flushed`` maps (product id, wire) to those gates
+    and phase, so every flush of one product on one wire shares its gates.
     """
 
-    __slots__ = ("pending", "out", "phase", "flushed")
+    __slots__ = ("pending", "out", "phase", "mats", "ids", "steps", "angles",
+                 "flushed")
 
     def __init__(self) -> None:
-        self.pending: dict[int, np.ndarray] = {}
+        self.pending: dict[int, int] = {}
         self.out: list[Gate] = []
         self.phase = 0.0
-        self.flushed: dict[tuple[bytes, int], tuple[tuple[Gate, ...], float]] = {}
+        self.mats: list[np.ndarray] = []
+        self.ids: dict[bytes, int] = {}
+        self.steps: dict[tuple[int, int], int] = {}
+        self.angles: dict[int, _Rotations] = {}
+        self.flushed: dict[tuple[int, int], tuple[tuple[Gate, ...], float]] = {}
+
+    def intern(self, matrix: np.ndarray) -> int:
+        key = matrix.tobytes()
+        i = self.ids.get(key)
+        if i is None:
+            i = self.ids[key] = len(self.mats)
+            self.mats.append(matrix)
+        return i
 
     def single(self, wire: int, matrix: np.ndarray) -> None:
+        f = self.intern(matrix)
         prev = self.pending.get(wire)
-        self.pending[wire] = matrix if prev is None else matrix @ prev
+        if prev is not None:
+            key = (f, prev)
+            step = self.steps.get(key)
+            if step is None:
+                mats = self.mats
+                step = self.steps[key] = self.intern(mats[f] @ mats[prev])
+            f = step
+        self.pending[wire] = f
 
     def gate(self, gate: Gate) -> None:
         self.single(gate.wires[0], gate_matrix(gate))
@@ -393,13 +420,30 @@ class _Merger:
         self.out.append(gate)
 
     def flush(self, wire: int) -> None:
-        matrix = self.pending.pop(wire)
-        key = (matrix.tobytes(), wire)
+        product = self.pending.pop(wire)
+        key = (product, wire)
         hit = self.flushed.get(key)
         if hit is None:
-            hit = self.flushed[key] = _flush(matrix, wire)
+            rotations, phase = self.rotations(product)
+            hit = self.flushed[key] = (
+                tuple([R(wire, theta, phi) for theta, phi in rotations]), phase)
         self.out += hit[0]
         self.phase += hit[1]
+
+    def rotations(self, product: int) -> _Rotations:
+        hit = self.angles.get(product)
+        if hit is None:
+            m = self.mats[product]
+            alpha = cmath.phase(m[0, 0]) if abs(m[0, 0]) > 0.5 \
+                else cmath.phase(m[1, 1])
+            if np.abs(m - cmath.exp(1j * alpha) * _I2).max() <= _IDENTITY_TOL:
+                hit = (), alpha  # identity up to phase: no rotations at all
+            else:
+                p = decompose_unitary(m)
+                hit = ((2 * p.b + math.pi, p.a - p.c - math.pi / 2),
+                       (-math.pi, -p.c - math.pi / 2)), p.d
+            self.angles[product] = hit
+        return hit
 
     def program(self, width: int) -> NativeProgram:
         for w in sorted(self.pending):

@@ -48,13 +48,15 @@ PROGRAMS = {
             R(0, 0.25, -1.5)), -0.75),
     "awkward_floats": NativeProgram(
         4, (R(0, -0.0, 1e-300), XX(1, 3, 1e17), R(2, SEVENTEEN_DIGITS, -0.0),
-            XX(3, 0, -SEVENTEEN_DIGITS), R(0, -0.0, 1e-300), R(1, 1e17, 5e-324)),
+            XX(3, 0, -SEVENTEEN_DIGITS), R(0, -0.0, 1e-300), R(1, 1e17, 5e-324),
+            XX(0, 2, 5e-324), XX(2, 1, -0.0)),
         SEVENTEEN_DIGITS),
     "negative_zero_phase": NativeProgram(2, (R(1, 1.0, 2.0),), -0.0),
     "non_float_params": NativeProgram(
         2, (Gate(GateKind.R, (0,), (1, 2)),
             Gate(GateKind.R, (1,), (np.float64(0.5), 0.25)),
-            Gate(GateKind.XX, (0, 1), (np.float64(SEVENTEEN_DIGITS),)))),
+            Gate(GateKind.XX, (0, 1), (np.float64(SEVENTEEN_DIGITS),)),
+            Gate(GateKind.R, (1,), (True, -0.0)))),
     "empty": NativeProgram(0, ()),
     "empty_with_width": NativeProgram(5, (), 1e-300),
 }
