@@ -12,6 +12,7 @@ so values are safe to share across threads.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Iterator, Mapping
@@ -118,12 +119,26 @@ class Gate:
         if arity > 1 and len(set(wires)) != arity:
             raise ValueError(f"{name} wires must be distinct, got {wires}")
         for w in wires:
-            if w < 0 or w % 1:  # w % 1 is NaN, so true, for a non-finite w
-                raise ValueError(f"wires must be non-negative integers, got {wires}")
+            if type(w) is not int or w < 0:
+                wires = None  # leave the all-int fast path
+                break
+        if type(wires) is not tuple:
+            object.__setattr__(self, "wires", _index_wires(self.wires))
         if len(params) != n_params:
             raise ValueError(f"{name} takes {n_params} params, got {len(params)}")
         if check is not None:
             check(name, params)
+
+
+def _index_wires(wires) -> tuple[int, ...]:
+    """The wires as a tuple of ``operator.index`` values: no float passes."""
+    try:
+        out = tuple(map(operator.index, wires))
+        if min(out, default=0) >= 0:
+            return out
+    except TypeError:
+        pass
+    raise ValueError(f"wires must be non-negative integers, got {wires}")
 
 
 def _u1_matrix(params: tuple[float, ...]) -> np.ndarray:

@@ -81,12 +81,12 @@ def _build_circuit(args) -> Circuit:
         return fn(params)
     if name == "modular_exponentiation":
         _require(args, "N", "y")
-        n_x = args.nx if args.nx is not None else 2 * args.N.bit_length() + 2
+        n_x = t.default_n_x(args.N.bit_length(), args.nx)
         return t.modular_exponentiation(
             templates.TemplateParams(N=args.N, y=args.y, n=args.n, n_x=n_x))
     if name == "order_finding":
         _require(args, "N", "y")
-        n_x = args.nx if args.nx is not None else 2 * args.N.bit_length() + 2
+        n_x = t.default_n_x(args.N.bit_length(), args.nx)
         return t.order_finding(
             templates.TemplateParams(N=args.N, y=args.y, n=args.n, n_x=n_x))
     raise CliError(f"unknown template {args.template!r}")
@@ -103,7 +103,7 @@ def _cmd_simulate(args) -> None:
         raise CliError(f"--shots must be >= 1, got {args.shots}")
     if args.shots is not None and args.shots > MAX_SHOTS:
         raise CliError(f"--shots must be <= {MAX_SHOTS}, got {args.shots}")
-    n_x = args.nx if args.nx is not None else 2 * args.N.bit_length() + 2
+    n_x = templates.default_n_x(args.N.bit_length(), args.nx)
     dist = simulator.order_finding_distribution(args.N, args.y, n_x)
     if args.shots is not None:
         rng = np.random.default_rng(args.seed)

@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass, field, replace
 
 from .circuit import GateKind
-from .templates import TemplateParams, order_finding
+from .templates import TemplateParams, default_n_x, order_finding
 from .transpiler import NativeProgram, transpile
 
 __all__ = ["ResourceReport", "count_gates", "depth_bound",
@@ -96,8 +96,7 @@ def estimate_order_finding(n: int, n_x: int | None = None) -> ResourceReport:
     """
     if n < 2:
         raise ValueError(f"modulus width n must be >= 2, got {n}")
-    if n_x is None:
-        n_x = 2 * n + 2
+    n_x = default_n_x(n, n_x)
     N = 2 ** n - 1
     y = 2
     circuit = order_finding(TemplateParams(N=N, y=y, n=n, n_x=n_x))

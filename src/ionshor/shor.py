@@ -16,6 +16,7 @@ from .classical import (
     gcd, is_perfect_power, is_prime, mod_pow, order_candidates,
 )
 from .simulator import order_finding_distribution
+from .templates import default_n_x
 
 __all__ = ["ShorOutcome", "find_order", "factor"]
 
@@ -83,8 +84,7 @@ def find_order(y: int, N: int, n_x: int | None = None, max_samples: int = 10,
         raise ValueError(f"base {y} is not coprime to {N}")
     if y % N == 1:
         return 1
-    if n_x is None:
-        n_x = 2 * N.bit_length() + 2
+    n_x = default_n_x(N.bit_length(), n_x)
     r, _, _ = _sample_order(y % N, N, n_x, max_samples, np.random.default_rng(seed))
     return r
 
@@ -111,7 +111,7 @@ def factor(N: int, seed: int | None = None, max_trials: int = 20) -> ShorOutcome
     if is_prime(N):
         return ShorOutcome(N=N, factor=None)
     rng = np.random.default_rng(seed)
-    n_x = 2 * N.bit_length() + 2
+    n_x = default_n_x(N.bit_length())
     last: dict = {}
     for trial in range(1, max_trials + 1):
         x = int(rng.integers(2, N))

@@ -16,7 +16,6 @@ Basis convention: amplitude index i has bit j equal to the value of wire j.
 """
 from __future__ import annotations
 
-import os
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import lru_cache
@@ -26,7 +25,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .circuit import Circuit, Gate, GateKind, RegisterLayout, gate_matrix
+from .circuit import Circuit, GateKind, RegisterLayout, gate_matrix
 from .classical import gcd, mod_pow
 from . import templates
 
@@ -51,18 +50,6 @@ CLASSICAL_KINDS = frozenset({
 })
 
 
-def _dense_cap(cap: int | None) -> int:
-    if cap is not None:
-        return cap
-    raw = os.environ.get("IONSHOR_DENSE_CAP")
-    if raw is None:
-        return DENSE_QUBIT_CAP
-    if not raw.strip().isdecimal():  # int() reads every such string
-        raise ValueError(f"IONSHOR_DENSE_CAP must be a non-negative integer, "
-                         f"got {raw!r}")
-    return int(raw)
-
-
 def basis_state(width: int, index: int = 0) -> np.ndarray:
     """Statevector |index> on the given number of wires."""
     if not 0 <= index < (1 << width):
@@ -83,17 +70,16 @@ def _apply(state: np.ndarray, matrix: np.ndarray, wires: tuple[int, ...],
 
 
 def simulate_dense(circuit: Circuit, initial: np.ndarray | int | None = None,
-                   cap: int | None = None) -> np.ndarray:
+                   cap: int = DENSE_QUBIT_CAP) -> np.ndarray:
     """Evolve a statevector through the circuit.
 
     ``initial`` may be an amplitude array, a basis index, or None for |0...0>.
-    Widths above the cap (default 14, env IONSHOR_DENSE_CAP) are rejected.
+    Widths above ``cap`` qubits are rejected.
     """
     width = circuit.width
-    limit = _dense_cap(cap)
-    if width > limit:
+    if width > cap:
         raise ValueError(
-            f"width {width} exceeds the dense cap of {limit} qubits; use the "
+            f"width {width} exceeds the dense cap of {cap} qubits; use the "
             "reversible engine or order_finding_distribution instead")
     if initial is None:
         state = basis_state(width)
@@ -117,12 +103,11 @@ def simulate_dense(circuit: Circuit, initial: np.ndarray | int | None = None,
     return out
 
 
-def circuit_unitary(circuit: Circuit, cap: int | None = None) -> np.ndarray:
+def circuit_unitary(circuit: Circuit, cap: int = DENSE_QUBIT_CAP) -> np.ndarray:
     """Full unitary of the circuit, built column-batched via the dense engine."""
     width = circuit.width
-    limit = _dense_cap(cap)
-    if width > limit:
-        raise ValueError(f"width {width} exceeds the dense cap of {limit} qubits")
+    if width > cap:
+        raise ValueError(f"width {width} exceeds the dense cap of {cap} qubits")
     dim = 1 << width
     t = np.eye(dim, dtype=complex).reshape([2] * width + [dim])
     for gate in circuit.gates:
@@ -130,12 +115,34 @@ def circuit_unitary(circuit: Circuit, cap: int | None = None) -> np.ndarray:
     return t.reshape(dim, dim)
 
 
-def _check_classical(gate: Gate, position: int) -> None:
-    if gate.kind not in CLASSICAL_KINDS:
-        raise ValueError(
-            f"gate {position} is {gate.kind.value}, which is not classical-"
-            "reversible; the reversible engine handles only "
-            "{X, CNOT, Toffoli, SWAP, Fredkin}")
+def _check_classical(gates, width: int, stage: int | None = None,
+                     control: int = 0, n_x: int = 0) -> None:
+    """Reject gates the reversible engine may not run, before any of them
+    runs: every gate must be classical and act below ``width``, and the
+    gates of exponent stage ``stage`` must touch no x wire (the first
+    ``n_x``) but its ``control``.
+
+    Kinds and wires are gathered as sets at C speed; only a failing
+    sequence is walked gate by gate, to name the first offender.
+    """
+    stray = set(range(n_x)) - {control}
+    wires = set(chain.from_iterable(map(attrgetter("wires"), gates)))
+    if (CLASSICAL_KINDS.issuperset(map(attrgetter("kind"), gates))
+            and wires.isdisjoint(stray) and max(wires, default=0) < width):
+        return
+    for pos, gate in enumerate(gates):
+        if gate.kind not in CLASSICAL_KINDS:
+            raise ValueError(
+                f"gate {pos} is {gate.kind.value}, which is not classical-"
+                "reversible; the reversible engine handles only "
+                "{X, CNOT, Toffoli, SWAP, Fredkin}")
+        # a circuit's own gates lie below its width, so only a stage gets here
+        bad = [w for w in gate.wires if w in stray or w >= width]
+        if bad:
+            raise ValueError(
+                f"gate {pos} of exponent stage {stage} ({gate.kind.value} on "
+                f"wires {gate.wires}) touches wire {bad[0]}; the stage may act "
+                f"only on x wire {control} and wires {n_x} to {width - 1}")
 
 
 def simulate_reversible(circuit: Circuit, basis_in: int) -> int:
@@ -143,17 +150,10 @@ def simulate_reversible(circuit: Circuit, basis_in: int) -> int:
     if not 0 <= basis_in < (1 << circuit.width):
         raise ValueError(f"basis index {basis_in} out of range "
                          f"for width {circuit.width}")
-    _check_all_classical(circuit.gates)
+    _check_classical(circuit.gates, circuit.width)
     planes = [basis_in >> w & 1 for w in range(circuit.width)]
     _run(circuit.gates, planes, 1)
     return sum(bit << w for w, bit in enumerate(planes))
-
-
-def _check_all_classical(gates) -> None:
-    """Reject the first non-classical gate by position and kind."""
-    for pos, gate in enumerate(gates):
-        if gate.kind not in CLASSICAL_KINDS:
-            _check_classical(gate, pos)  # raises
 
 
 def _run(gates, planes: list[int], mask: int) -> None:
@@ -162,7 +162,7 @@ def _run(gates, planes: list[int], mask: int) -> None:
     Plane w holds wire w's bit for input i as its bit i; ``mask`` has a one
     for every input, so X flips no bit past the last one.  Each gate is one
     or two big-int operations on whole planes.  The gates must have passed
-    ``_check_all_classical`` or ``_check_stage``.
+    ``_check_classical``.
     """
     # Local names: enum class attribute lookups are slow per gate.
     x, cnot, toffoli, swap = GateKind.X, GateKind.CNOT, GateKind.TOFFOLI, GateKind.SWAP
@@ -219,7 +219,7 @@ def simulate_reversible_batch(circuit: Circuit, basis_in) -> np.ndarray:
     if width > _BATCH_WIRE_CAP:
         raise ValueError(f"circuit width {width} exceeds the batch "
                          f"engine's {_BATCH_WIRE_CAP}-wire limit")
-    _check_all_classical(circuit.gates)
+    _check_classical(circuit.gates, width)
     idx = np.asarray(basis_in)
     if idx.size and not np.issubdtype(idx.dtype, np.integer):
         raise ValueError(f"basis indices must be integers below 2**64, "
@@ -351,29 +351,6 @@ def measure_probs(state: np.ndarray, wires) -> Distribution:
     return Distribution.from_dense(t.transpose(perm).reshape(-1))
 
 
-def _check_stage(gates, layout: RegisterLayout, control: int, stage: int) -> None:
-    """Reject an exponent stage before it runs: its gates must be classical
-    and stay inside the layout and off every x wire but ``control``.
-
-    Kinds and wires are gathered as sets at C speed; only a failing stage is
-    walked gate by gate, to name the first offender.
-    """
-    stray = set(layout.x) - {control}
-    wires = set(chain.from_iterable(map(attrgetter("wires"), gates)))
-    if (CLASSICAL_KINDS.issuperset(map(attrgetter("kind"), gates))
-            and wires.isdisjoint(stray) and max(wires, default=0) < layout.width):
-        return
-    for pos, gate in enumerate(gates):
-        _check_classical(gate, pos)
-        bad = [w for w in gate.wires if w in stray or w >= layout.width]
-        if bad:
-            raise ValueError(
-                f"gate {pos} of exponent stage {stage} ({gate.kind.value} on "
-                f"wires {gate.wires}) touches wire {bad[0]}; the stage may act "
-                f"only on x wire {control} and wires {layout.n_x} to "
-                f"{layout.width - 1}")
-
-
 def _order(y: int, N: int, limit: int) -> int:
     """Multiplicative order of y mod N, or ``limit`` if it is not below that."""
     r, acc = 1, y % N
@@ -413,7 +390,7 @@ def _order_finding_probs(N: int, y: int, n_x: int) -> Distribution:
                 f"exponent stage {i} multiplies by {m} under wire {control}, "
                 f"not by y**(2**{i}) mod N = {multipliers[i]} under x wire "
                 f"{layout.x[i]}")
-        _check_stage(gates, layout, control, i)
+        _check_classical(gates, layout.width, i, control, n_x)
         planes = state.copy()
         planes[control] = low << N
         expected = planes.copy()

@@ -220,8 +220,6 @@ def _exponent_stages(layout: RegisterLayout, y: int, N: int
     |x_i>|z>|0>|0>|0>|N>|0> to |x_i>|z*m_i^(x_i) mod N>|0>|0>|0>|N>|0>, so
     the stages together map z = 1 to y^x mod N.
     """
-    if gcd(y % N, N) != 1:
-        raise ValueError(f"base {y} is not coprime to {N}")
     z, b, n = layout.z, layout.b, layout.n
     swap_zb = [SWAP(z[j], b[j]) for j in range(n)]
     for control, m_i in zip(layout.x, precompute_multipliers(y, N, layout.n_x)):
@@ -284,6 +282,14 @@ def cr_k(control: int, target: int, k: int) -> Circuit:
 
 def cr_k_inv(control: int, target: int, k: int) -> Circuit:
     return _wrap([CRK_INV(control, target, k)], control, target)
+
+
+# Not in __all__: that lists the templates, and bench/tracer.py wraps each
+# of those as a builder whose result has a length.
+def default_n_x(n: int, n_x: int | None = None) -> int:
+    """``n_x`` if given, else the exponent-register size for n-bit moduli:
+    2n + 2, one more than order finding needs."""
+    return 2 * n + 2 if n_x is None else n_x
 
 
 def order_finding(params: TemplateParams) -> Circuit:

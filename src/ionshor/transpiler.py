@@ -234,6 +234,11 @@ class UnitaryParams:
     c: float
     d: float
 
+    def rotations(self) -> tuple[tuple[float, float], tuple[float, float]]:
+        """(theta, phi) of the two R gates, in the order they act."""
+        return ((2 * self.b + math.pi, self.a - self.c - math.pi / 2),
+                (-math.pi, -self.c - math.pi / 2))
+
 
 def decompose_unitary(U) -> UnitaryParams:
     """Closed-form angles for a 2x2 unitary; b always lands in [0, pi/2].
@@ -272,10 +277,9 @@ def decompose_unitary(U) -> UnitaryParams:
 
 def reconstruct(params: UnitaryParams) -> np.ndarray:
     """Matrix e^{id} R(-pi,-c-pi/2) R(2b+pi,a-c-pi/2) for the given angles."""
-    a, b, c, d = params.a, params.b, params.c, params.d
-    first = gate_matrix(R(0, 2 * b + math.pi, a - c - math.pi / 2))
-    second = gate_matrix(R(0, -math.pi, -c - math.pi / 2))
-    return cmath.exp(1j * d) * second @ first
+    first, second = (gate_matrix(R(0, theta, phi))
+                     for theta, phi in params.rotations())
+    return cmath.exp(1j * params.d) * second @ first
 
 
 @dataclass(frozen=True)
@@ -351,11 +355,10 @@ _JSON_KINDS = {kind: json.dumps(kind.value) for kind in GateKind}
 
 def _json_object(g: Gate) -> str:
     """``json.dumps({"gate": ..., "wires": [...], "params": [...]})``, which
-    writes an exact int as ``str`` and a finite float as ``float.__repr__``
-    (R and XX params are finite); any other type goes through json.dumps."""
+    writes an int as ``str`` and a finite float as ``float.__repr__`` (R and
+    XX params are finite); any other param goes through json.dumps."""
     return '{"gate": %s, "wires": [%s], "params": [%s]}' % (
-        _JSON_KINDS[g.kind],
-        ", ".join([str(w) if type(w) is int else json.dumps(w) for w in g.wires]),
+        _JSON_KINDS[g.kind], ", ".join(map(str, g.wires)),
         ", ".join([float.__repr__(p) if type(p) is float else json.dumps(p)
                    for p in g.params]))
 
@@ -440,8 +443,7 @@ class _Merger:
                 hit = (), alpha  # identity up to phase: no rotations at all
             else:
                 p = decompose_unitary(m)
-                hit = ((2 * p.b + math.pi, p.a - p.c - math.pi / 2),
-                       (-math.pi, -p.c - math.pi / 2)), p.d
+                hit = p.rotations(), p.d
             self.angles[product] = hit
         return hit
 

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,8 @@ from ionshor.circuit import (
     Circuit, Gate, GateKind, ParseError, RegisterLayout,
     gate_adjoint, gate_matrix, inverse, parse, serialize,
 )
+from ionshor.simulator import simulate_reversible, simulate_reversible_batch
+from ionshor.transpiler import transpile
 from conftest import haar_unitary, oracle_unitary, random_circuit
 
 
@@ -79,6 +83,7 @@ NAN, INF = float("nan"), float("inf")
     (GateKind.XX, (0, 1), (INF,), "XX params must be finite, got (inf,)"),
     (GateKind.U1, (0,), (NAN, 0, 0, 0, 0, 0, 1.0, 0),
      "U1 params must be finite, got (nan, 0, 0, 0, 0, 0, 1.0, 0)"),
+    (GateKind.X, (1.0,), (), "wires must be non-negative integers, got (1.0,)"),
 ])
 def test_gate_validation_messages(kind, wires, params, message):
     # Exact texts: every message but the non-finite ones predates the
@@ -86,6 +91,20 @@ def test_gate_validation_messages(kind, wires, params, message):
     with pytest.raises(ValueError) as exc:
         Gate(kind, wires, params)
     assert str(exc.value) == message
+
+
+def test_numpy_integer_wires_are_stored_as_ints():
+    w = np.arange(3, dtype=np.int64)
+    c = Circuit(3, [X(w[0]), CNOT(w[0], w[1]), TOFFOLI(w[0], w[1], w[2])])
+    plain = Circuit(3, [X(0), CNOT(0, 1), TOFFOLI(0, 1, 2)])
+    assert all(type(v) is int for g in c.gates for v in g.wires)
+    assert Gate(GateKind.CNOT, [0, 1]) == CNOT(0, 1)   # stored as a tuple
+    assert c == plain and serialize(c) == serialize(plain)
+    assert simulate_reversible(c, 0) == 0b111
+    assert simulate_reversible_batch(c, [0, 1]).tolist() == [0b111, 0]
+    text = transpile(c).to_json()
+    assert text == transpile(plain).to_json()
+    assert json.loads(text)["gates"][-1]["wires"] == [2]
 
 
 def test_non_finite_params_rejected_by_factories():

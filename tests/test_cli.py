@@ -138,6 +138,32 @@ def test_dense_cap_flag_is_gone(capsys):
     assert code == 1 and "unrecognized arguments: --dense-cap" in err
 
 
+# Without --nx, each command takes n_x = 2n + 2 for the n bits of N.
+def test_build_defaults_n_x(capsys):
+    code, out, _ = run(capsys, "build", "--template", "Order_Finding",
+                       "--N", "5", "--y", "3")
+    assert code == 0 and out.startswith("qubits 25\n")   # n_x = 8, 5n + 2 = 17
+
+
+def test_estimate_defaults_n_x(capsys):
+    code, out, _ = run(capsys, "estimate", "--n-range", "3", "--format", "json")
+    assert code == 0 and json.loads(out)[0]["n_x"] == 8
+
+
+def test_simulate_defaults_n_x(capsys):
+    code, out, _ = run(capsys, "simulate", "--N", "5", "--y", "3")
+    assert code == 0
+    assert out.splitlines()[1:] == ["0,0.25", "64,0.25", "128,0.25", "192,0.25"]
+
+
+def test_factor_defaults_n_x(capsys):
+    # seed 1 draws a base coprime to 527 = 17 * 31, so the run reaches the
+    # n_x cap rather than the gcd shortcut
+    code, out, err = run(capsys, "factor", "--N", "527", "--seed", "1")
+    assert code == 1 and out == ""
+    assert "n_x = 22 exceeds" in err
+
+
 def test_transpile_file_roundtrip(tmp_path, capsys):
     source = tmp_path / "sum.qc"
     run(capsys, "build", "--template", "SUM", "-o", str(source))

@@ -53,19 +53,6 @@ def test_dense_cap_rejects_wide_circuits():
     assert state[0] == 1
 
 
-def test_dense_cap_env_override(monkeypatch):
-    monkeypatch.setenv("IONSHOR_DENSE_CAP", "16")
-    assert simulate_dense(Circuit(15))[0] == 1
-
-
-@pytest.mark.parametrize("raw", ["abc", "-1", "1.5", ""])
-def test_dense_cap_env_rejects_non_integer(monkeypatch, raw):
-    monkeypatch.setenv("IONSHOR_DENSE_CAP", raw)
-    with pytest.raises(ValueError, match="IONSHOR_DENSE_CAP must be a "
-                                         "non-negative integer"):
-        simulate_dense(Circuit(2))
-
-
 def test_dense_validates_initial_state():
     with pytest.raises(ValueError, match="amplitudes"):
         simulate_dense(Circuit(2), initial=np.ones(3) / math.sqrt(3))
