@@ -18,9 +18,9 @@ from .circuit import Circuit, RegisterLayout, parse, serialize
 __all__ = ["main"]
 
 
-# rng.choice holds a float64 uniform, an int64 index and the int64 draw per
-# shot, and np.unique then sorts a copy of the draws: about 24 bytes per shot
-# at the peak (measured with tracemalloc), so about 240 MB at this cap.
+# Distribution.sample holds a float64 uniform, an int64 index and the int64
+# draw per shot, and np.unique then sorts a copy of the draws: about 24 bytes
+# per shot at the peak (measured with tracemalloc), so about 240 MB at this cap.
 MAX_SHOTS = 10 ** 7
 
 
@@ -107,9 +107,7 @@ def _cmd_simulate(args) -> None:
     dist = simulator.order_finding_distribution(args.N, args.y, n_x)
     if args.shots is not None:
         rng = np.random.default_rng(args.seed)
-        outcomes, probs = dist.sampling_arrays()
-        draws = rng.choice(outcomes, size=args.shots, p=probs)
-        values, counts = np.unique(draws, return_counts=True)
+        values, counts = np.unique(dist.sample(rng, args.shots), return_counts=True)
         dist = simulator.Distribution(values, counts / args.shots)
     _emit(dist.to_json() + "\n" if args.format == "json" else dist.to_csv(),
           args.output)

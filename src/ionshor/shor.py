@@ -63,10 +63,9 @@ def _sample_order(y: int, N: int, n_x: int, max_samples: int,
                   rng: np.random.Generator):
     """Returns (order, winning outcome, all candidate denominators seen)."""
     dist = order_finding_distribution(N, y, n_x)
-    outcomes, probs = dist.sampling_arrays()
     seen: list[int] = []
     for _ in range(max_samples):
-        outcome = int(rng.choice(outcomes, p=probs))
+        outcome = int(dist.sample(rng))
         candidates = order_candidates(outcome, n_x, N)
         seen += [c for c in candidates if c not in seen]
         r = _verified_order(y, N, candidates)
@@ -80,12 +79,10 @@ def find_order(y: int, N: int, n_x: int | None = None, max_samples: int = 10,
     """Least r with y^r = 1 mod N, recovered from seeded measurement samples."""
     if N < 2:
         raise ValueError(f"modulus N must be >= 2, got {N}")
-    if gcd(y % N, N) != 1:
-        raise ValueError(f"base {y} is not coprime to {N}")
     if y % N == 1:
         return 1
     n_x = default_n_x(N.bit_length(), n_x)
-    r, _, _ = _sample_order(y % N, N, n_x, max_samples, np.random.default_rng(seed))
+    r, _, _ = _sample_order(y, N, n_x, max_samples, np.random.default_rng(seed))
     return r
 
 

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import chain
 from operator import attrgetter
 from types import MappingProxyType
@@ -297,10 +296,12 @@ class Distribution:
     def items(self) -> list[tuple[int, float]]:
         return list(zip(self.outcomes.tolist(), self.probabilities.tolist()))
 
-    def sampling_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """Outcomes in increasing order and their probabilities rescaled to
-        sum to exactly 1, as arrays for ``Generator.choice``."""
-        return self.outcomes, self.probabilities / self.probabilities.sum()
+    def sample(self, rng: np.random.Generator, size: int | None = None):
+        """``size`` outcomes drawn independently from ``rng``, or one outcome
+        if ``size`` is None; the probabilities are rescaled to sum to exactly
+        1, as ``Generator.choice`` requires."""
+        return rng.choice(self.outcomes, size,
+                          p=self.probabilities / self.probabilities.sum())
 
     def top(self, count: int) -> list[tuple[int, float]]:
         """The ``count`` most likely outcomes; ties go to the smaller outcome."""
@@ -360,8 +361,71 @@ def _order(y: int, N: int, limit: int) -> int:
     return r
 
 
-@lru_cache(maxsize=32)
-def _order_finding_probs(N: int, y: int, n_x: int) -> Distribution:
+def _period_probs(r: int, M: int) -> np.ndarray:
+    """Inverse-QFT outcome probabilities of M inputs whose values repeat with
+    period r (1 <= r <= M) and are distinct within a period.
+
+    The inputs sharing a value are x = j + s*r, so each such class of c
+    members contributes |(1/M) sum_s exp(-2 pi i k s r / M)|**2 = F_c / M**2,
+    the Fejer kernel of m = k*r mod M.  M mod r classes have q + 1 members
+    and the rest q, with q = M // r.
+    """
+    q, e = divmod(M, r)
+    m = np.arange(M, dtype=np.int64) * r % M
+    return ((r - e) * _fejer(q, m, M) + e * _fejer(q + 1, m, M)) / float(M) ** 2
+
+
+def _sin_squared(n: np.ndarray, M: int) -> np.ndarray:
+    """sin(pi n / M)**2 for integers n, reduced exactly to an angle in [0, pi/2]."""
+    n = n % M
+    return np.sin(np.minimum(n, M - n) * (np.pi / M)) ** 2
+
+
+def _fejer(c: int, m: np.ndarray, M: int) -> np.ndarray:
+    """sin(pi c m / M)**2 / sin(pi m / M)**2, and its limit c**2 where m = 0.
+
+    Products c*m stay below M**2 <= 2**40, so int64 holds them exactly.
+    """
+    out = np.full(m.shape, float(c * c))
+    np.divide(_sin_squared(c * m, M), _sin_squared(m, M), out=out, where=m != 0)
+    return out
+
+
+def order_finding_distribution(N: int, y: int, n_x: int) -> Distribution:
+    """Exact measurement distribution of the order-finding exponent register.
+
+    Checks the actual modular-exponentiation circuit one exponent stage at a
+    time: each stage runs through the reversible engine on its 2N inputs and
+    must multiply z by y^(2^i) mod N under its control bit and restore every
+    other register, so the circuit maps x to y^x mod N.  The inverse DFT is then taken in closed form from
+    the period of y^x mod N, the order of y (see ``_period_probs``), which
+    sidesteps the full-width dense state.
+
+    The check holds a few 2N-bit int planes per wire and a few N-element
+    arrays: 0.2 MiB at N = 511 and 2.8 MiB at N = 65521 (n_x = 20, by
+    tracemalloc), and its time grows with N, so N is capped at N_CAP = 2**16.
+    The result grows with M = 2**n_x: the closed form takes about 56 bytes
+    per outcome while it runs and the result keeps 16 per outcome with
+    support (peak RSS 87 MB at n_x = 20, with 4 outcomes or all M; nothing
+    is kept between calls, so ten bases in turn peak at 87 MB too).  Writing
+    all M outcomes out as CSV or JSON adds about 96 or 107 bytes each, so
+    ``simulate --N 221 --y 3 --nx 20`` peaks at 188 or 199 MB; NX_CAP = 20
+    bounds this output.  Both caps are checked before anything is built.
+    """
+    if N < 2:
+        raise ValueError(f"modulus N must be >= 2, got {N}")
+    if N >= N_CAP:
+        raise ValueError(f"N = {N} exceeds the order-finding evaluator's cap of "
+                         f"{N_CAP - 1} (each exponent stage is checked on 2N inputs)")
+    if gcd(y % N, N) != 1:
+        raise ValueError(f"base {y} is not coprime to {N}")
+    if n_x < 1:
+        raise ValueError(f"n_x must be >= 1, got {n_x}")
+    if n_x > NX_CAP:
+        raise ValueError(f"n_x = {n_x} exceeds the order-finding evaluator's "
+                         f"cap of {NX_CAP} (the distribution has up to 2**n_x "
+                         "outcomes)")
+    y %= N
     layout = RegisterLayout(n_x, N.bit_length())
     multipliers = [mod_pow(y, 1 << i, N) for i in range(n_x)]
     # Lane l < 2N holds the stage input (c, z) = (l >= N, l mod N): each z
@@ -409,72 +473,3 @@ def _order_finding_probs(N: int, y: int, n_x: int) -> Distribution:
     # below M when that order is M or more.
     M = 1 << n_x
     return Distribution.from_dense(_period_probs(_order(y, N, M), M))
-
-
-def _period_probs(r: int, M: int) -> np.ndarray:
-    """Inverse-QFT outcome probabilities of M inputs whose values repeat with
-    period r (1 <= r <= M) and are distinct within a period.
-
-    The inputs sharing a value are x = j + s*r, so each such class of c
-    members contributes |(1/M) sum_s exp(-2 pi i k s r / M)|**2 = F_c / M**2,
-    the Fejer kernel of m = k*r mod M.  M mod r classes have q + 1 members
-    and the rest q, with q = M // r.
-    """
-    q, e = divmod(M, r)
-    m = np.arange(M, dtype=np.int64) * r % M
-    return ((r - e) * _fejer(q, m, M) + e * _fejer(q + 1, m, M)) / float(M) ** 2
-
-
-def _sin_squared(n: np.ndarray, M: int) -> np.ndarray:
-    """sin(pi n / M)**2 for integers n, reduced exactly to an angle in [0, pi/2]."""
-    n = n % M
-    return np.sin(np.minimum(n, M - n) * (np.pi / M)) ** 2
-
-
-def _fejer(c: int, m: np.ndarray, M: int) -> np.ndarray:
-    """sin(pi c m / M)**2 / sin(pi m / M)**2, and its limit c**2 where m = 0.
-
-    Products c*m stay below M**2 <= 2**40, so int64 holds them exactly.
-    """
-    out = np.full(m.shape, float(c * c))
-    np.divide(_sin_squared(c * m, M), _sin_squared(m, M), out=out, where=m != 0)
-    return out
-
-
-def order_finding_distribution(N: int, y: int, n_x: int) -> Distribution:
-    """Exact measurement distribution of the order-finding exponent register.
-
-    Checks the actual modular-exponentiation circuit one exponent stage at a
-    time (see ``_order_finding_probs``): each stage runs through the
-    reversible engine on its 2N inputs and must multiply z by y^(2^i) mod N
-    under its control bit and restore every other register, so the circuit
-    maps x to y^x mod N.  The inverse DFT is then taken in closed form from
-    the period of y^x mod N, the order of y (see ``_period_probs``), which
-    sidesteps the full-width dense state.
-
-    The check holds a few 2N-bit int planes per wire and a few N-element
-    arrays: 0.2 MiB at N = 511 and 2.8 MiB at N = 65521 (n_x = 20, by
-    tracemalloc), and its time grows with N, so N is capped at N_CAP = 2**16.
-    The result grows with M = 2**n_x: the closed form takes about 56 bytes
-    per outcome while it runs and the result keeps 16 per outcome with
-    support (peak RSS 87 MB at n_x = 20, with 4 outcomes or all M).  Writing
-    all M outcomes out as CSV or JSON adds about 96 or 107 bytes each, so
-    ``simulate --N 221 --y 3 --nx 20`` peaks at 188 or 199 MB; NX_CAP = 20
-    bounds this output.  Both caps are checked before anything is built.
-    Results are cached; the returned distribution is read-only and may be
-    shared between callers.
-    """
-    if N < 2:
-        raise ValueError(f"modulus N must be >= 2, got {N}")
-    if N >= N_CAP:
-        raise ValueError(f"N = {N} exceeds the order-finding evaluator's cap of "
-                         f"{N_CAP - 1} (each exponent stage is checked on 2N inputs)")
-    if gcd(y % N, N) != 1:
-        raise ValueError(f"base {y} is not coprime to {N}")
-    if n_x < 1:
-        raise ValueError(f"n_x must be >= 1, got {n_x}")
-    if n_x > NX_CAP:
-        raise ValueError(f"n_x = {n_x} exceeds the order-finding evaluator's "
-                         f"cap of {NX_CAP} (the distribution has up to 2**n_x "
-                         "outcomes)")
-    return _order_finding_probs(N, y % N, n_x)

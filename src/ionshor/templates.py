@@ -160,10 +160,9 @@ def adder_mod_inv(params: TemplateParams) -> Circuit:
 
 def _ctrl_mult_mod_gates(layout: RegisterLayout, m: int, N: int,
                          control: int) -> list[Gate]:
+    # m must be coprime to N: ctrl_mult_mod checks it, and _exponent_stages
+    # passes powers of a coprime base and their inverses.
     z, a, b, n = layout.z, layout.a, layout.b, layout.n
-    if gcd(m % N, N) != 1:
-        raise ValueError(f"multiplier {m} is not coprime to {N}: "
-                         "the reversed template needs its modular inverse")
     gates: list[Gate] = []
     for i in range(n):
         const = (m << i) % N
@@ -196,8 +195,11 @@ def ctrl_mult_mod(params: TemplateParams, control: int | None = None) -> Circuit
     """
     if params.m is None:
         raise ValueError("ctrl_mult_mod needs the multiplier m")
-    gates = _ctrl_mult_mod_gates(params.layout, params.m, params.N,
-                                 _cmm_control(params, control))
+    control = _cmm_control(params, control)
+    if gcd(params.m % params.N, params.N) != 1:
+        raise ValueError(f"multiplier {params.m} is not coprime to {params.N}: "
+                         "the reversed template needs its modular inverse")
+    gates = _ctrl_mult_mod_gates(params.layout, params.m, params.N, control)
     return Circuit(params.layout.width, gates, params.layout)
 
 

@@ -3,8 +3,12 @@ import json
 import pytest
 
 from ionshor import shor
-from ionshor.classical import mod_pow
+from ionshor.classical import mod_pow, precompute_multipliers
 from ionshor.shor import ShorOutcome, factor, find_order
+from ionshor.simulator import order_finding_distribution
+from ionshor.templates import (
+    TemplateParams, ctrl_mult_mod, ctrl_mult_mod_inv, modular_exponentiation,
+)
 
 
 def test_find_order_trivial_base():
@@ -21,6 +25,25 @@ def test_find_order_examples():
 def test_find_order_rejects_non_coprime():
     with pytest.raises(ValueError, match="coprime"):
         find_order(6, 15)
+
+
+BASE_6 = "base 6 is not coprime to 15"
+MULTIPLIER_6 = ("multiplier 6 is not coprime to 15: the reversed template "
+                "needs its modular inverse")
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: find_order(6, 15), BASE_6),
+    (lambda: order_finding_distribution(15, 6, 8), BASE_6),
+    (lambda: precompute_multipliers(6, 15, 3), BASE_6),
+    (lambda: modular_exponentiation(TemplateParams(N=15, y=6, n_x=3)), BASE_6),
+    (lambda: ctrl_mult_mod(TemplateParams(N=15, m=6, n_x=1)), MULTIPLIER_6),
+    (lambda: ctrl_mult_mod_inv(TemplateParams(N=15, m=6, n_x=1)), MULTIPLIER_6),
+])
+def test_non_coprime_messages(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
 
 
 def test_find_order_result_is_a_true_order():

@@ -1,5 +1,7 @@
+import gc
 import json
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -210,7 +212,6 @@ def _add_fault(monkeypatch, at_stage: int, make_gate) -> list:
             yield control, m, gates
 
     monkeypatch.setattr(simulator.templates, "_exponent_stages", faulty)
-    simulator._order_finding_probs.cache_clear()
     return added
 
 
@@ -320,7 +321,6 @@ def test_order_finding_distribution_rejects_misordered_stages(
         return iter(out)
 
     monkeypatch.setattr(simulator.templates, "_exponent_stages", changed)
-    simulator._order_finding_probs.cache_clear()
     with pytest.raises(RuntimeError, match=message):
         order_finding_distribution(11, 2, 7)
 
@@ -537,9 +537,11 @@ def test_distribution_matches_dict_reference(rng):
         assert [dist.prob(k) for k in range(1000)] == [ref.get(k, 0.0)
                                                         for k in range(1000)]
         ref_p = np.array([ref[k] for k in keys])
-        got_o, got_p = dist.sampling_arrays()
-        assert got_o.tolist() == keys
-        assert got_p.tobytes() == (ref_p / ref_p.sum()).tobytes()
+        seed = int(rng.integers(1 << 32))
+        shots = int(rng.integers(1, 100))
+        assert np.array_equal(
+            dist.sample(np.random.default_rng(seed), shots),
+            np.random.default_rng(seed).choice(keys, shots, p=ref_p / ref_p.sum()))
 
 
 @pytest.mark.parametrize("outcomes,probs", [
@@ -558,18 +560,26 @@ def test_writers_match_row_by_row_formatting(outcomes, probs):
     assert dist.to_json() == json.dumps(dict(rows))
 
 
-def test_distribution_arrays_are_read_only_and_cached():
+def test_distribution_arrays_are_read_only():
     dist = order_finding_distribution(15, 7, 8)
     outcomes, probs = dist.outcomes.copy(), dist.probabilities.copy()
-    for array in (dist.outcomes, dist.probabilities, dist.sampling_arrays()[0]):
+    for array in (dist.outcomes, dist.probabilities):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 1
     with pytest.raises(TypeError):
         dist.probs[0] = 1.0
     again = order_finding_distribution(15, 22, 8)  # 22 = 7 mod 15
-    assert again is dist
+    assert again == dist
     assert np.array_equal(again.outcomes, outcomes)
     assert again.probabilities.tobytes() == probs.tobytes()
+
+
+def test_order_finding_distribution_retains_nothing():
+    dist = order_finding_distribution(15, 7, 8)
+    ref = weakref.ref(dist)
+    del dist
+    gc.collect()
+    assert ref() is None
 
 
 def test_swap_gate_dense_versus_oracle(rng):
