@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Iterator, Mapping
 
@@ -54,10 +54,6 @@ class GateKind(Enum):
     def arity(self) -> int:
         return _SHAPE[self][1]
 
-    @property
-    def n_params(self) -> int:
-        return _SHAPE[self][2]
-
 
 def _check_crk(name: str, params: tuple) -> None:
     k = params[0]
@@ -70,18 +66,25 @@ def _check_finite(name: str, params: tuple) -> None:
         raise ValueError(f"{name} params must be finite, got {params}")
 
 
+def unitary_deviation(m: np.ndarray) -> float:
+    """Largest entry of |m^dagger m - I|; inf, without a numpy warning, when
+    huge entries overflow.  Compare with ``not err <= UNITARY_TOL`` so that
+    NaN fails too."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.abs(m.conj().T @ m - np.eye(len(m))).max()
+
+
 def _check_u1(name: str, params: tuple) -> None:
     _check_finite(name, params)
-    m = _u1_matrix(params)
-    err = np.abs(m.conj().T @ m - np.eye(2)).max()
+    err = unitary_deviation(_u1_matrix(params))
     if not err <= UNITARY_TOL:
         raise ValueError(f"U1 matrix is not unitary (deviation {err:.3g})")
 
 
 # kind -> (name, arity, number of params, params check or None): the one
 # table Gate validation and parse read, without Enum's value descriptor.
-_SHAPE = {kind: (kind.value, arity, n_params, check)
-          for kind, arity, n_params, check in (
+_SHAPE = {kind: (kind.value, *shape)
+          for kind, *shape in (
               (GateKind.X, 1, 0, None),
               (GateKind.H, 1, 0, None),
               (GateKind.CNOT, 2, 0, None),
@@ -112,7 +115,7 @@ class Gate:
     params: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
-        name, arity, n_params, check = _SHAPE[self.kind]
+        name, arity, param_count, check = _SHAPE[self.kind]
         wires, params = self.wires, self.params
         if len(wires) != arity:
             raise ValueError(f"{name} acts on {arity} wires, got {wires}")
@@ -124,8 +127,8 @@ class Gate:
                 break
         if type(wires) is not tuple:
             object.__setattr__(self, "wires", _index_wires(self.wires))
-        if len(params) != n_params:
-            raise ValueError(f"{name} takes {n_params} params, got {len(params)}")
+        if len(params) != param_count:
+            raise ValueError(f"{name} takes {param_count} params, got {len(params)}")
         if check is not None:
             check(name, params)
 
@@ -294,57 +297,34 @@ def gate_adjoint(gate: Gate) -> Gate:
 class RegisterLayout:
     """Contiguous wire ranges x, z, a, b, c, N, t used by the arithmetic templates.
 
-    Register sizes are n_x, n, n, n+1, n, n, 1 in that order, for a total
-    width of n_x + 5n + 2.
+    Register sizes are n_x, n, n, n+1, n, n, 1 in that order; the ranges and
+    the width follow from (n_x, n), which alone are compared, hashed and shown.
     """
 
     n_x: int
     n: int
+    x: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    z: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    a: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    b: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    c: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    N: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    t: int = field(init=False, repr=False, compare=False)
+    width: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"register size n must be >= 1, got {self.n}")
-        if self.n_x < 0:
-            raise ValueError(f"exponent register size n_x must be >= 0, got {self.n_x}")
-
-    @classmethod
-    def from_width(cls, width: int, n_x: int) -> "RegisterLayout":
-        rest = width - 2 - n_x
-        if rest <= 0 or rest % 5:
-            raise ValueError("Wrong size of registers")
-        return cls(n_x, rest // 5)
-
-    @property
-    def width(self) -> int:
-        return self.n_x + 5 * self.n + 2
-
-    @property
-    def x(self) -> tuple[int, ...]:
-        return tuple(range(self.n_x))
-
-    @property
-    def z(self) -> tuple[int, ...]:
-        return tuple(range(self.n_x, self.n_x + self.n))
-
-    @property
-    def a(self) -> tuple[int, ...]:
-        return tuple(range(self.n_x + self.n, self.n_x + 2 * self.n))
-
-    @property
-    def b(self) -> tuple[int, ...]:
-        return tuple(range(self.n_x + 2 * self.n, self.n_x + 3 * self.n + 1))
-
-    @property
-    def c(self) -> tuple[int, ...]:
-        return tuple(range(self.n_x + 3 * self.n + 1, self.n_x + 4 * self.n + 1))
-
-    @property
-    def N(self) -> tuple[int, ...]:
-        return tuple(range(self.n_x + 4 * self.n + 1, self.n_x + 5 * self.n + 1))
-
-    @property
-    def t(self) -> int:
-        return self.n_x + 5 * self.n + 1
+        n_x, n = self.n_x, self.n
+        if n < 1:
+            raise ValueError(f"register size n must be >= 1, got {n}")
+        if n_x < 0:
+            raise ValueError(f"exponent register size n_x must be >= 0, got {n_x}")
+        start = 0
+        for name, size in (("x", n_x), ("z", n), ("a", n), ("b", n + 1),
+                           ("c", n), ("N", n), ("t", 1)):
+            object.__setattr__(self, name, tuple(range(start, start + size)))
+            start += size
+        object.__setattr__(self, "t", self.t[0])  # t is a single wire
+        object.__setattr__(self, "width", start)
 
     def registers(self) -> Mapping[str, tuple[int, ...]]:
         return {"x": self.x, "z": self.z, "a": self.a, "b": self.b,
@@ -376,10 +356,9 @@ class RegisterLayout:
 class Circuit:
     """Ordered gate sequence over a fixed qubit count, immutable once built."""
 
-    __slots__ = ("width", "gates", "layout")
+    __slots__ = ("width", "gates")
 
-    def __init__(self, width: int, gates: Iterable[Gate] = (),
-                 layout: RegisterLayout | None = None):
+    def __init__(self, width: int, gates: Iterable[Gate] = ()):
         gates = tuple(gates)
         if width < 0:
             raise ValueError(f"width must be >= 0, got {width}")
@@ -388,11 +367,8 @@ class Circuit:
             if bad:
                 raise ValueError(
                     f"{g.kind.value} on wires {g.wires} exceeds circuit width {width}")
-        if layout is not None and layout.width != width:
-            raise ValueError("Wrong size of registers")
         object.__setattr__(self, "width", width)
         object.__setattr__(self, "gates", gates)
-        object.__setattr__(self, "layout", layout)
 
     def __setattr__(self, name, value):
         raise AttributeError("Circuit is immutable")
@@ -404,7 +380,6 @@ class Circuit:
         return iter(self.gates)
 
     def __eq__(self, other) -> bool:
-        # Structural equality; layout is carried metadata and not compared.
         if not isinstance(other, Circuit):
             return NotImplemented
         return self.width == other.width and self.gates == other.gates
@@ -421,7 +396,7 @@ class Circuit:
         if self.width != other.width:
             raise ValueError(f"cannot compose circuits of widths "
                              f"{self.width} and {other.width}")
-        return Circuit(self.width, self.gates + other.gates, self.layout)
+        return Circuit(self.width, self.gates + other.gates)
 
     def inverse(self) -> "Circuit":
         return inverse(self)
@@ -429,9 +404,7 @@ class Circuit:
 
 def inverse(circuit: Circuit) -> Circuit:
     """Adjoint circuit: gates reversed, each replaced by its own adjoint."""
-    return Circuit(circuit.width,
-                   [gate_adjoint(g) for g in reversed(circuit.gates)],
-                   circuit.layout)
+    return Circuit(circuit.width, [gate_adjoint(g) for g in reversed(circuit.gates)])
 
 
 def _format_params(gate: Gate) -> list[str]:
@@ -494,11 +467,11 @@ def parse(text: str) -> Circuit:
         kind = _KIND_BY_NAME.get(tokens[0])
         if kind is None:
             raise ParseError(f"line {lineno}: unknown gate {tokens[0]!r}")
-        name, arity, n_params, _ = _SHAPE[kind]
-        if len(tokens) != 1 + arity + n_params:
+        name, arity, param_count, _ = _SHAPE[kind]
+        if len(tokens) != 1 + arity + param_count:
             raise ParseError(
                 f"line {lineno}: {name} expects {arity} wires and "
-                f"{n_params} params, got {len(tokens) - 1} fields")
+                f"{param_count} params, got {len(tokens) - 1} fields")
         try:
             wires = tuple(int(t) for t in tokens[1:1 + arity])
         except ValueError:

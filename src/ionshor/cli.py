@@ -227,7 +227,7 @@ def _make_parser() -> _Parser:
     p = sub.add_parser("factor", help="run the factorization driver")
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--max-trials", type=int, default=20)
+    p.add_argument("--max-trials", type=int, default=shor.MAX_TRIALS)
     common_out(p)
     p.set_defaults(fn=_cmd_factor)
 

@@ -18,7 +18,10 @@ from .classical import (
 from .simulator import order_finding_distribution
 from .templates import default_n_x
 
-__all__ = ["ShorOutcome", "find_order", "factor"]
+__all__ = ["MAX_TRIALS", "SAMPLES_PER_BASE", "ShorOutcome", "find_order", "factor"]
+
+MAX_TRIALS = 20        # random bases factor tries before giving up
+SAMPLES_PER_BASE = 10  # measurement samples drawn for one base's order
 
 
 @dataclass(frozen=True)
@@ -59,12 +62,11 @@ def _verified_order(y: int, N: int, candidates: list[int]) -> int | None:
     return None
 
 
-def _sample_order(y: int, N: int, n_x: int, max_samples: int,
-                  rng: np.random.Generator):
+def _sample_order(y: int, N: int, n_x: int, rng: np.random.Generator):
     """Returns (order, winning outcome, all candidate denominators seen)."""
     dist = order_finding_distribution(N, y, n_x)
     seen: list[int] = []
-    for _ in range(max_samples):
+    for _ in range(SAMPLES_PER_BASE):
         outcome = int(dist.sample(rng))
         candidates = order_candidates(outcome, n_x, N)
         seen += [c for c in candidates if c not in seen]
@@ -74,7 +76,7 @@ def _sample_order(y: int, N: int, n_x: int, max_samples: int,
     return None, None, seen
 
 
-def find_order(y: int, N: int, n_x: int | None = None, max_samples: int = 10,
+def find_order(y: int, N: int, n_x: int | None = None,
                seed: int | None = None) -> int | None:
     """Least r with y^r = 1 mod N, recovered from seeded measurement samples."""
     if N < 2:
@@ -82,11 +84,12 @@ def find_order(y: int, N: int, n_x: int | None = None, max_samples: int = 10,
     if y % N == 1:
         return 1
     n_x = default_n_x(N.bit_length(), n_x)
-    r, _, _ = _sample_order(y, N, n_x, max_samples, np.random.default_rng(seed))
+    r, _, _ = _sample_order(y, N, n_x, np.random.default_rng(seed))
     return r
 
 
-def factor(N: int, seed: int | None = None, max_trials: int = 20) -> ShorOutcome:
+def factor(N: int, seed: int | None = None,
+           max_trials: int = MAX_TRIALS) -> ShorOutcome:
     """One factorization attempt: shortcuts, then order-finding trials.
 
     Even N, perfect powers and primes (no factor, no trial) are dispatched
@@ -116,7 +119,7 @@ def factor(N: int, seed: int | None = None, max_trials: int = 20) -> ShorOutcome
         if g > 1:
             return ShorOutcome(N=N, factor=g, base=x, gcd_shortcut=True,
                                trials=trial)
-        r, outcome, seen = _sample_order(x, N, n_x, 10, rng)
+        r, outcome, seen = _sample_order(x, N, n_x, rng)
         last = {"base": x, "measured_outcome": outcome,
                 "candidates_tried": tuple(seen), "order": r}
         if r is None or r % 2:

@@ -18,8 +18,6 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass
-from itertools import chain
-from operator import attrgetter
 from types import MappingProxyType
 
 import numpy as np
@@ -120,28 +118,23 @@ def _check_classical(gates, width: int, stage: int | None = None,
     runs: every gate must be classical and act below ``width``, and the
     gates of exponent stage ``stage`` must touch no x wire (the first
     ``n_x``) but its ``control``.
-
-    Kinds and wires are gathered as sets at C speed; only a failing
-    sequence is walked gate by gate, to name the first offender.
     """
-    stray = set(range(n_x)) - {control}
-    wires = set(chain.from_iterable(map(attrgetter("wires"), gates)))
-    if (CLASSICAL_KINDS.issuperset(map(attrgetter("kind"), gates))
-            and wires.isdisjoint(stray) and max(wires, default=0) < width):
-        return
-    for pos, gate in enumerate(gates):
+    allowed = {control, *range(n_x, width)}.intersection(range(width))
+    for gate in gates:
+        if gate.kind in CLASSICAL_KINDS and allowed.issuperset(gate.wires):
+            continue
+        pos = gates.index(gate)  # the first equal gate fails first
         if gate.kind not in CLASSICAL_KINDS:
             raise ValueError(
                 f"gate {pos} is {gate.kind.value}, which is not classical-"
                 "reversible; the reversible engine handles only "
                 "{X, CNOT, Toffoli, SWAP, Fredkin}")
         # a circuit's own gates lie below its width, so only a stage gets here
-        bad = [w for w in gate.wires if w in stray or w >= width]
-        if bad:
-            raise ValueError(
-                f"gate {pos} of exponent stage {stage} ({gate.kind.value} on "
-                f"wires {gate.wires}) touches wire {bad[0]}; the stage may act "
-                f"only on x wire {control} and wires {n_x} to {width - 1}")
+        bad = next(w for w in gate.wires if w not in allowed)
+        raise ValueError(
+            f"gate {pos} of exponent stage {stage} ({gate.kind.value} on "
+            f"wires {gate.wires}) touches wire {bad}; the stage may act "
+            f"only on x wire {control} and wires {n_x} to {width - 1}")
 
 
 def simulate_reversible(circuit: Circuit, basis_in: int) -> int:

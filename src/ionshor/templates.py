@@ -38,7 +38,7 @@ class TemplateParams:
     """Shared parameters of the modular-arithmetic templates.
 
     n defaults to the bit length of N and n_x to 0 (no exponent register);
-    the layout is derived from (n_x, n) unless one is passed explicitly.
+    the layout is derived from (n_x, n).
     """
 
     N: int
@@ -46,7 +46,7 @@ class TemplateParams:
     n: int | None = None
     n_x: int = 0
     m: int | None = None
-    layout: RegisterLayout = field(default=None)  # type: ignore[assignment]
+    layout: RegisterLayout = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.N < 2:
@@ -55,10 +55,7 @@ class TemplateParams:
         object.__setattr__(self, "n", n)
         if self.N > 2 ** n - 1:
             raise ValueError("N is too big")
-        if self.layout is None:
-            object.__setattr__(self, "layout", RegisterLayout(self.n_x, n))
-        if self.layout.n != n or self.layout.n_x != self.n_x:
-            raise ValueError("Wrong size of registers")
+        object.__setattr__(self, "layout", RegisterLayout(self.n_x, n))
 
 
 def _inverted(gates: list[Gate]) -> list[Gate]:
@@ -116,7 +113,7 @@ def _adder_gates(layout: RegisterLayout) -> list[Gate]:
 
 def adder(layout: RegisterLayout) -> Circuit:
     """|a>|b>|0> -> |a>|a+b>|0> with the n+1-bit sum in register b."""
-    return Circuit(layout.width, _adder_gates(layout), layout)
+    return Circuit(layout.width, _adder_gates(layout))
 
 
 def adder_inv(layout: RegisterLayout) -> Circuit:
@@ -150,8 +147,7 @@ def _adder_mod_gates(layout: RegisterLayout, N: int) -> tuple[Gate, ...]:
 
 def adder_mod(params: TemplateParams) -> Circuit:
     """|a>|b>|0>|N>|0> -> |a>|(a+b) mod N>|0>|N>|0> for a, b < N."""
-    return Circuit(params.layout.width, _adder_mod_gates(params.layout, params.N),
-                   params.layout)
+    return Circuit(params.layout.width, _adder_mod_gates(params.layout, params.N))
 
 
 def adder_mod_inv(params: TemplateParams) -> Circuit:
@@ -200,7 +196,7 @@ def ctrl_mult_mod(params: TemplateParams, control: int | None = None) -> Circuit
         raise ValueError(f"multiplier {params.m} is not coprime to {params.N}: "
                          "the reversed template needs its modular inverse")
     gates = _ctrl_mult_mod_gates(params.layout, params.m, params.N, control)
-    return Circuit(params.layout.width, gates, params.layout)
+    return Circuit(params.layout.width, gates)
 
 
 def ctrl_mult_mod_inv(params: TemplateParams, control: int | None = None) -> Circuit:
@@ -245,7 +241,7 @@ def modular_exponentiation(params: TemplateParams) -> Circuit:
     if params.n_x < 1:
         raise ValueError("modular exponentiation needs n_x >= 1 exponent wires")
     gates = _modular_exponentiation_gates(params.layout, params.y, params.N)
-    return Circuit(params.layout.width, gates, params.layout)
+    return Circuit(params.layout.width, gates)
 
 
 def _qft_gates(wires: tuple[int, ...]) -> list[Gate]:
@@ -306,4 +302,4 @@ def order_finding(params: TemplateParams) -> Circuit:
     gates: list[Gate] = [H(w) for w in layout.x]
     gates += _modular_exponentiation_gates(layout, params.y, params.N)
     gates += qft_inv(layout.x).gates
-    return Circuit(layout.width, gates, layout)
+    return Circuit(layout.width, gates)

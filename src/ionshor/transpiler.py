@@ -36,7 +36,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .circuit import (
-    U1, R, XX, Circuit, Gate, GateKind, gate_matrix,
+    UNITARY_TOL, U1, R, XX, Circuit, Gate, GateKind, gate_matrix, unitary_deviation,
 )
 
 __all__ = [
@@ -122,7 +122,7 @@ def lower_toffoli(circuit: Circuit) -> Circuit:
                         for kind, (i, j) in _EXPANSIONS[g.kind]]
         else:
             lowered.append(g)
-    return Circuit(circuit.width, lowered, circuit.layout)
+    return Circuit(circuit.width, lowered)
 
 
 def _crk_phases(g: Gate) -> tuple[np.ndarray, np.ndarray]:
@@ -222,7 +222,7 @@ def lower_two_qubit(circuit: Circuit, xx_sign: XXSigns = None) -> Circuit:
     _walk(circuit, xx_sign, False,
           single=lambda w, m: lowered.append(U1(w, m)),
           source_single=lowered.append, native_xx=lowered.append)
-    return Circuit(circuit.width, lowered, circuit.layout)
+    return Circuit(circuit.width, lowered)
 
 
 @dataclass(frozen=True, slots=True)
@@ -255,8 +255,8 @@ def decompose_unitary(U) -> UnitaryParams:
     U = np.asarray(U, dtype=complex)
     if U.shape != (2, 2):
         raise ValueError(f"expected a 2x2 matrix, got shape {U.shape}")
-    err = np.abs(U.conj().T @ U - _I2).max()
-    if not err <= 1e-10:  # also rejects NaN
+    err = unitary_deviation(U)
+    if not err <= UNITARY_TOL:  # also rejects NaN
         raise ValueError(f"matrix is not unitary (deviation {err:.3g})")
     abs00, abs01 = abs(U[0, 0]), abs(U[0, 1])
     # atan2 evaluates arccos|u00| without the endpoint ill-conditioning,

@@ -43,7 +43,7 @@ def test_criterion_1_arithmetic_exhaustive():
                 assert out == {"x": 0, "z": 0, "a": a, "b": a + b, "c": 0,
                                "N": 0, "t": 0}
         for N in range(2, 2 ** n):
-            mod = adder_mod(TemplateParams(N=N, n=n, layout=layout))
+            mod = adder_mod(TemplateParams(N=N, n=n))
             for a in range(N):
                 for b in range(N):
                     out = layout.decode(
@@ -55,8 +55,7 @@ def test_criterion_1_arithmetic_exhaustive():
             for m in range(1, N):
                 if math.gcd(m, N) != 1:
                     continue
-                cmm = ctrl_mult_mod(TemplateParams(N=N, n=n, m=m, n_x=1,
-                                                   layout=lay1))
+                cmm = ctrl_mult_mod(TemplateParams(N=N, n=n, m=m, n_x=1))
                 for z in range(N):
                     for ctl in (0, 1):
                         out = lay1.decode(simulate_reversible(
@@ -210,7 +209,7 @@ def test_criterion_9_engine_cross_checks():
     # dense pipeline vs structured evaluator on an n=2 instance (14 qubits)
     params = TemplateParams(N=3, y=2, n_x=2)
     layout = params.layout
-    circuit = Circuit(layout.width, [H(w) for w in layout.x], layout) \
+    circuit = Circuit(layout.width, [H(w) for w in layout.x]) \
         + modular_exponentiation(params) \
         + Circuit(layout.width, qft_inv(layout.x).gates)
     state = simulate_dense(circuit, initial=layout.encode(z=1, N=3))

@@ -239,20 +239,17 @@ def test_parse_diagnostics(text, fragment):
 
 
 def test_layout_geometry():
-    lay = RegisterLayout(8, 3)
-    assert lay.width == 8 + 5 * 3 + 2 == 25
-    regs = list(lay.registers().values())
-    flat = [w for reg in regs for w in reg]
-    assert flat == list(range(lay.width))
-    assert len(lay.b) == lay.n + 1
-    assert lay.t == lay.width - 1
-
-
-def test_layout_from_width():
-    lay = RegisterLayout.from_width(25, 8)
-    assert (lay.n_x, lay.n) == (8, 3)
-    with pytest.raises(ValueError, match="Wrong size of registers"):
-        RegisterLayout.from_width(24, 8)
+    for n_x, n in [(0, 1), (1, 1), (8, 3), (18, 8)]:
+        lay = RegisterLayout(n_x, n)
+        regs = lay.registers()
+        assert list(regs) == ["x", "z", "a", "b", "c", "N", "t"]
+        assert [len(r) for r in regs.values()] == [n_x, n, n, n + 1, n, n, 1]
+        assert [w for reg in regs.values() for w in reg] == list(range(lay.width))
+        assert lay.t == lay.width - 1
+        twin = RegisterLayout(n_x, n)
+        assert twin == lay and hash(twin) == hash(lay)
+        assert lay != RegisterLayout(n_x + 1, n) and lay != RegisterLayout(n_x, n + 1)
+    assert repr(RegisterLayout(8, 3)) == "RegisterLayout(n_x=8, n=3)"
 
 
 def test_layout_encode_decode():
@@ -264,8 +261,3 @@ def test_layout_encode_decode():
         lay.encode(z=8)
     with pytest.raises(ValueError, match="unknown register"):
         lay.encode(q=1)
-
-
-def test_circuit_layout_width_mismatch():
-    with pytest.raises(ValueError, match="Wrong size of registers"):
-        Circuit(10, [], layout=RegisterLayout(0, 2))

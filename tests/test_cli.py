@@ -1,6 +1,7 @@
 import io
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -288,6 +289,15 @@ def test_decompose_u_rejects_non_finite(capsys, entries):
     code, out, err = run(capsys, "decompose-u", *entries)
     assert code == 1 and out == ""
     assert "entries must be finite" in err
+
+
+def test_decompose_u_overflow_exits_1_without_warnings(capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "decompose-u", "1", "0", "0", "0", "0", "0",
+                             "1", "1e308")
+    assert code == 1 and out == ""
+    assert err == "error: matrix is not unitary (deviation inf)\n"
 
 
 def test_byte_identical_reruns(capsys):

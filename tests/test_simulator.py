@@ -386,7 +386,7 @@ def test_structured_matches_dense_pipeline():
     N, y, n_x = 3, 2, 2
     params = TemplateParams(N=N, y=y, n_x=n_x)
     layout = params.layout
-    circuit = Circuit(layout.width, [H(w) for w in layout.x], layout) \
+    circuit = Circuit(layout.width, [H(w) for w in layout.x]) \
         + modular_exponentiation(params) \
         + Circuit(layout.width, qft_inv(layout.x).gates)
     state = simulate_dense(circuit, initial=layout.encode(z=1, N=N))

@@ -1,5 +1,6 @@
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -89,6 +90,15 @@ def test_decompose_rejects_non_unitary():
 def test_decompose_rejects_non_finite(bad):
     with pytest.raises(ValueError, match="not unitary"):
         decompose_unitary([[bad, 0], [0, 1]])
+
+
+def test_unitarity_checks_overflow_without_warnings():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"^matrix is not unitary \(deviation inf\)"):
+            decompose_unitary([[1, 0], [0, 1e308]])
+        with pytest.raises(ValueError, match=r"^U1 matrix is not unitary \(deviation inf\)"):
+            U1(0, [[1e200, 0], [0, 1]])
 
 
 def test_reconstruct_uses_two_rotations():
