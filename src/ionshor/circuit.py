@@ -15,7 +15,7 @@ import math
 import operator
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Iterator, Mapping
+from typing import Iterator, Mapping
 
 import numpy as np
 
@@ -207,13 +207,7 @@ def XX(w0: int, w1: int, chi: float) -> Gate:
     return Gate(GateKind.XX, (w0, w1), (float(chi),))
 
 
-_MAT_X = np.array([[0, 1], [1, 0]], dtype=complex)
-_MAT_H = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
 _MAT_V = np.array([[1 + 1j, 1 - 1j], [1 - 1j, 1 + 1j]], dtype=complex) / 2  # sqrt(X)
-_MAT_CNOT = np.array(
-    [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex)
-_MAT_SWAP = np.array(
-    [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex)
 
 
 def _controlled(m: np.ndarray) -> np.ndarray:
@@ -229,29 +223,26 @@ def _permutation(dim: int, swaps: list[tuple[int, int]]) -> np.ndarray:
     return out
 
 
-_MAT_TOFFOLI = _permutation(8, [(6, 7)])
-_MAT_FREDKIN = _permutation(8, [(5, 6)])
+# The unitaries of the kinds without params, built once; gate_matrix hands
+# out copies.
+_FIXED_MATRIX = {
+    GateKind.X: np.array([[0, 1], [1, 0]], dtype=complex),
+    GateKind.H: np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2),
+    GateKind.CNOT: _permutation(4, [(2, 3)]),
+    GateKind.SWAP: _permutation(4, [(1, 2)]),
+    GateKind.TOFFOLI: _permutation(8, [(6, 7)]),
+    GateKind.FREDKIN: _permutation(8, [(5, 6)]),
+    GateKind.CV: _controlled(_MAT_V),
+    GateKind.CVINV: _controlled(_MAT_V.conj().T),
+}
 
 
 def gate_matrix(gate: Gate) -> np.ndarray:
     """Unitary of a gate on its own wires (first wire = most significant bit)."""
     kind = gate.kind
-    if kind is GateKind.X:
-        return _MAT_X.copy()
-    if kind is GateKind.H:
-        return _MAT_H.copy()
-    if kind is GateKind.CNOT:
-        return _MAT_CNOT.copy()
-    if kind is GateKind.SWAP:
-        return _MAT_SWAP.copy()
-    if kind is GateKind.TOFFOLI:
-        return _MAT_TOFFOLI.copy()
-    if kind is GateKind.FREDKIN:
-        return _MAT_FREDKIN.copy()
-    if kind is GateKind.CV:
-        return _controlled(_MAT_V)
-    if kind is GateKind.CVINV:
-        return _controlled(_MAT_V.conj().T)
+    fixed = _FIXED_MATRIX.get(kind)
+    if fixed is not None:
+        return fixed.copy()
     if kind in (GateKind.CRK, GateKind.CRKINV):
         sign = 1 if kind is GateKind.CRK else -1
         phase = np.exp(sign * 2j * np.pi / 2 ** int(gate.params[0]))
@@ -353,39 +344,32 @@ class RegisterLayout:
         return out
 
 
+@dataclass(frozen=True, slots=True)
 class Circuit:
-    """Ordered gate sequence over a fixed qubit count, immutable once built."""
+    """Ordered gate sequence over a fixed qubit count, immutable once built.
 
-    __slots__ = ("width", "gates")
+    Any iterable of gates is accepted and stored as a tuple; circuits
+    compare and hash on (width, gates).
+    """
 
-    def __init__(self, width: int, gates: Iterable[Gate] = ()):
-        gates = tuple(gates)
+    width: int
+    gates: tuple[Gate, ...] = ()
+
+    def __post_init__(self) -> None:
+        width, gates = self.width, tuple(self.gates)
         if width < 0:
             raise ValueError(f"width must be >= 0, got {width}")
         for g in gates:
-            bad = [w for w in g.wires if w >= width]
-            if bad:
+            if max(g.wires) >= width:
                 raise ValueError(
                     f"{g.kind.value} on wires {g.wires} exceeds circuit width {width}")
-        object.__setattr__(self, "width", width)
         object.__setattr__(self, "gates", gates)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Circuit is immutable")
 
     def __len__(self) -> int:
         return len(self.gates)
 
     def __iter__(self) -> Iterator[Gate]:
         return iter(self.gates)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Circuit):
-            return NotImplemented
-        return self.width == other.width and self.gates == other.gates
-
-    def __hash__(self) -> int:
-        return hash((self.width, self.gates))
 
     def __repr__(self) -> str:
         return f"Circuit(width={self.width}, gates={len(self.gates)})"

@@ -5,6 +5,7 @@ small (n <= ~16 bits), so no big-integer tuning is attempted.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 __all__ = [
@@ -29,14 +30,12 @@ class BezoutSolution:
 
 
 def gcd(a: int, b: int) -> int:
-    """Greatest common divisor by Euclid's algorithm; (0, 0) is rejected."""
+    """Greatest common divisor; (0, 0) is rejected."""
     if a < 0 or b < 0:
         raise ValueError("gcd expects non-negative integers")
     if a == 0 and b == 0:
         raise ValueError("gcd(0, 0) is undefined")
-    while b:
-        a, b = b, a % b
-    return a
+    return math.gcd(a, b)
 
 
 def diophantine_equation(a: int, b: int) -> BezoutSolution:
@@ -59,38 +58,26 @@ def modular_multiplicative_inverse(a: int, N: int) -> int:
     """Inverse of a modulo N, in [1, N); requires gcd(a, N) = 1."""
     if N < 2:
         raise ValueError(f"modulus must be >= 2, got {N}")
-    sol = diophantine_equation(a % N, N)
-    if sol.g != 1:
-        raise ValueError(f"{a} has no inverse modulo {N}: gcd is {sol.g}")
-    return sol.x % N
+    g = math.gcd(a, N)
+    if g != 1:
+        raise ValueError(f"{a} has no inverse modulo {N}: gcd is {g}")
+    return pow(a, -1, N)
 
 
 def mod_pow(y: int, x: int, N: int) -> int:
-    """y**x mod N by square-and-multiply."""
+    """y**x mod N."""
     if N < 1:
         raise ValueError(f"modulus must be >= 1, got {N}")
     if x < 0:
         raise ValueError(f"exponent must be >= 0, got {x}")
-    result = 1 % N
-    base = y % N
-    while x:
-        if x & 1:
-            result = result * base % N
-        base = base * base % N
-        x >>= 1
-    return result
+    return pow(y, x, N)
 
 
 def precompute_multipliers(y: int, N: int, n_x: int) -> list[int]:
     """Controlled-multiplication constants [y^(2^i) mod N for i < n_x]."""
     if gcd(y % N, N) != 1:
         raise ValueError(f"base {y} is not coprime to {N}")
-    out = []
-    m = y % N
-    for _ in range(n_x):
-        out.append(m)
-        m = m * m % N
-    return out
+    return [pow(y, 1 << i, N) for i in range(n_x)]
 
 
 def order_candidates(outcome: int, n_x: int, N: int) -> list[int]:

@@ -105,7 +105,7 @@ def factor(N: int, seed: int | None = None,
         raise ValueError(f"max_trials must be >= 1, got {max_trials}")
     if N % 2 == 0 and N > 2:
         return ShorOutcome(N=N, factor=2)
-    power = is_perfect_power(N) if N >= 4 else None
+    power = is_perfect_power(N)
     if power is not None:
         return ShorOutcome(N=N, factor=power[0])
     if is_prime(N):
@@ -127,7 +127,7 @@ def factor(N: int, seed: int | None = None,
         half = mod_pow(x, r // 2, N)
         if half == N - 1:
             continue
-        for g in (gcd(half - 1, N) if half > 1 else 1, gcd(half + 1, N)):
+        for g in (gcd(half - 1, N), gcd(half + 1, N)):
             if 1 < g < N:
                 return ShorOutcome(N=N, factor=g, base=x,
                                    measured_outcome=outcome,

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 from .circuit import (
     CNOT, CRK, CRK_INV, FREDKIN, H, SWAP, TOFFOLI, X,
@@ -120,10 +119,10 @@ def adder_inv(layout: RegisterLayout) -> Circuit:
     return adder(layout).inverse()
 
 
-@lru_cache(maxsize=16)
 def _adder_mod_gates(layout: RegisterLayout, N: int) -> tuple[Gate, ...]:
-    """ADDER_MOD's gates, built once per (layout, N): modular exponentiation
-    repeats the block 2*n*n_x times, and gates are immutable, so it is shared."""
+    """ADDER_MOD's gates as one tuple.  A multiplier build makes it once and
+    repeats it n times, a modular exponentiation 2*n*n_x times; nothing is
+    cached between builds."""
     a, b, c, Nw, t, n = layout.a, layout.b, layout.c, layout.N, layout.t, layout.n
     add = _adder_gates(layout)
     swap_aN = [SWAP(a[i], Nw[i]) for i in range(n)]
@@ -154,17 +153,19 @@ def adder_mod_inv(params: TemplateParams) -> Circuit:
     return adder_mod(params).inverse()
 
 
-def _ctrl_mult_mod_gates(layout: RegisterLayout, m: int, N: int,
-                         control: int) -> list[Gate]:
-    # m must be coprime to N: ctrl_mult_mod checks it, and _exponent_stages
-    # passes powers of a coprime base and their inverses.
+def _ctrl_mult_mod_gates(layout: RegisterLayout, m: int, N: int, control: int,
+                         adder_mod: tuple[Gate, ...]) -> list[Gate]:
+    """Ctrl_MULT_MOD's gates, repeating the caller's ADDER_MOD block for
+    (layout, N) once per bit of z, so one block serves a whole build.  m must
+    be coprime to N: ctrl_mult_mod checks it, and _exponent_stages passes
+    powers of a coprime base and their inverses."""
     z, a, b, n = layout.z, layout.a, layout.b, layout.n
     gates: list[Gate] = []
     for i in range(n):
         const = (m << i) % N
         load = [TOFFOLI(control, z[i], a[j]) for j in range(n) if (const >> j) & 1]
         gates += load
-        gates += _adder_mod_gates(layout, N)
+        gates += adder_mod
         gates += load
     # Copy z into b when the control is 0 so both branches write b.
     gates.append(X(control))
@@ -195,7 +196,8 @@ def ctrl_mult_mod(params: TemplateParams, control: int | None = None) -> Circuit
     if gcd(params.m % params.N, params.N) != 1:
         raise ValueError(f"multiplier {params.m} is not coprime to {params.N}: "
                          "the reversed template needs its modular inverse")
-    gates = _ctrl_mult_mod_gates(params.layout, params.m, params.N, control)
+    adder_mod = _adder_mod_gates(params.layout, params.N)
+    gates = _ctrl_mult_mod_gates(params.layout, params.m, params.N, control, adder_mod)
     return Circuit(params.layout.width, gates)
 
 
@@ -208,27 +210,26 @@ def ctrl_swap(control: int, t0: int, t1: int) -> Circuit:
     return _wrap([FREDKIN(control, t0, t1)], control, t0, t1)
 
 
-def _exponent_stages(layout: RegisterLayout, y: int, N: int
-                     ) -> Iterator[tuple[int, int, list[Gate]]]:
-    """Stage i of MODULAR_EXPONENTIATION for each exponent bit i, in order.
+def _exponent_stages(layout: RegisterLayout, y: int, N: int) -> Iterator[list[Gate]]:
+    """The gates of each MODULAR_EXPONENTIATION stage, one list per exponent bit.
 
-    Yields ``(control, multiplier, gates)``: the control is x_i, the
-    multiplier m_i = y^(2^i) mod N, and the gates are CMM(m_i), SWAP(z, b),
-    then CMM(m_i^-1) reversed, all controlled by x_i.  A stage maps
+    Stage i is CMM(m_i), SWAP(z, b), then CMM(m_i^-1) reversed, all
+    controlled by x_i, with m_i = y^(2^i) mod N.  It maps
     |x_i>|z>|0>|0>|0>|N>|0> to |x_i>|z*m_i^(x_i) mod N>|0>|0>|0>|N>|0>, so
-    the stages together map z = 1 to y^x mod N.
+    the stages together map z = 1 to y^x mod N.  The ADDER_MOD block and the
+    SWAP row are built once per call and shared by every stage.
     """
     z, b, n = layout.z, layout.b, layout.n
+    adder_mod = _adder_mod_gates(layout, N)
     swap_zb = [SWAP(z[j], b[j]) for j in range(n)]
     for control, m_i in zip(layout.x, precompute_multipliers(y, N, layout.n_x)):
         inv_m = modular_multiplicative_inverse(m_i, N)
-        yield control, m_i, (
-            _ctrl_mult_mod_gates(layout, m_i, N, control) + swap_zb
-            + _inverted(_ctrl_mult_mod_gates(layout, inv_m, N, control)))
+        yield (_ctrl_mult_mod_gates(layout, m_i, N, control, adder_mod) + swap_zb
+               + _inverted(_ctrl_mult_mod_gates(layout, inv_m, N, control, adder_mod)))
 
 
 def _modular_exponentiation_gates(layout: RegisterLayout, y: int, N: int) -> list[Gate]:
-    return [gate for _, _, gates in _exponent_stages(layout, y, N) for gate in gates]
+    return [gate for gates in _exponent_stages(layout, y, N) for gate in gates]
 
 
 def modular_exponentiation(params: TemplateParams) -> Circuit:

@@ -205,11 +205,11 @@ def _add_fault(monkeypatch, at_stage: int, make_gate) -> list:
     added = []
 
     def faulty(layout, y, N):
-        for i, (control, m, gates) in enumerate(EXPONENT_STAGES(layout, y, N)):
+        for i, gates in enumerate(EXPONENT_STAGES(layout, y, N)):
             if i == at_stage:
-                added.append((len(gates), make_gate(layout, control)))
+                added.append((len(gates), make_gate(layout, layout.x[i])))
                 gates = gates + [added[-1][1]]
-            yield control, m, gates
+            yield gates
 
     monkeypatch.setattr(simulator.templates, "_exponent_stages", faulty)
     return added
@@ -294,20 +294,21 @@ def test_order_finding_distribution_checks_the_last_lane(monkeypatch):
         order_finding_distribution(33, 32, 14)
 
 
-@pytest.mark.parametrize("change,message", [
-    ("drop last", "has 6 exponent stages, not 7"),
-    ("swap first two", "stage 0 multiplies by 4 under wire 1, not by .* = 2 under"),
-    ("extra", "more than 7 exponent stages"),
-    ("wrong multiplier", "stage 2 multiplies by 3 under wire 2, not by .* = 5 "),
-    ("wrong control", "stage 2 multiplies by 5 under wire 3, not by .* = 5 "),
+@pytest.mark.parametrize("change,message,error", [
+    ("drop last", "has 6 exponent stages, not 7", RuntimeError),
+    ("swap first two", "stage 0 .* touches wire 1;", ValueError),
+    ("extra", "more than 7 exponent stages", RuntimeError),
+    ("wrong multiplier", "stage 2 .* disagrees", RuntimeError),
+    ("wrong control", "stage 2 .* touches wire 3;", ValueError),
 ])
 def test_order_finding_distribution_rejects_misordered_stages(
-        monkeypatch, change, message):
-    # every stage can be right on its own while the sequence is wrong; the
-    # multipliers of 2 mod 11 are 2, 4, 5, 3, 9, 4, 5
+        monkeypatch, change, message, error):
+    # every stage can be right on its own while the sequence is wrong.  The
+    # multipliers of 2 mod 11 are 2, 4, 5, 3, 9, 4, 5; stage 2 of base 4
+    # multiplies by 4**4 = 3 mod 11 under x_2, and stage 3 of base 3 by the
+    # right 3**8 = 5 mod 11, but under x_3
     def changed(layout, y, N):
         out = list(EXPONENT_STAGES(layout, y, N))
-        control, m, gates = out[2]
         if change == "drop last":
             out.pop()
         elif change == "swap first two":
@@ -315,13 +316,13 @@ def test_order_finding_distribution_rejects_misordered_stages(
         elif change == "extra":
             out.append(out[-1])
         elif change == "wrong multiplier":
-            out[2] = (control, m * m % N, gates)
+            out[2] = list(EXPONENT_STAGES(layout, 4, N))[2]
         else:
-            out[2] = (layout.x[3], m, gates)
+            out[2] = list(EXPONENT_STAGES(layout, 3, N))[3]
         return iter(out)
 
     monkeypatch.setattr(simulator.templates, "_exponent_stages", changed)
-    with pytest.raises(RuntimeError, match=message):
+    with pytest.raises(error, match=message):
         order_finding_distribution(11, 2, 7)
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ionshor import templates
-from ionshor.circuit import SWAP, Circuit, GateKind, RegisterLayout, inverse
+from ionshor.circuit import SWAP, Circuit, Gate, GateKind, RegisterLayout, inverse
 from ionshor.simulator import circuit_unitary, simulate_reversible
 from ionshor.templates import (
     TemplateParams, adder, adder_inv, adder_mod, adder_mod_inv, carry_gate,
@@ -153,15 +153,24 @@ def test_modular_exponentiation_examples():
 
 @pytest.mark.parametrize("N,y,n_x", [(5, 3, 8), (15, 7, 4), (21, 5, 6), (221, 3, 3)])
 def test_modular_exponentiation_reuses_adder_mod_blocks_exactly(N, y, n_x):
+    # one build holds n*n_x forward and n*n_x reversed ADDER_MOD copies,
+    # and every copy is made of the same gate objects
     params = TemplateParams(N=N, y=y, n_x=n_x)
-    templates._adder_mod_gates.cache_clear()
-    cold = modular_exponentiation(params)
-    assert templates._adder_mod_gates.cache_info().hits > 0
-    warm = modular_exponentiation(params)
-    templates._adder_mod_gates.cache_clear()
-    again = modular_exponentiation(params)
-    assert warm.gates == cold.gates == again.gates
-    assert adder_mod(params).gates == templates._adder_mod_gates(params.layout, N)
+    circuit = modular_exponentiation(params)
+    block = templates._adder_mod_gates(params.layout, N)
+    assert adder_mod(params).gates == block
+    gates, size = circuit.gates, len(block)
+
+    def copies(run):
+        """The gate objects of each copy of ``run`` in the circuit."""
+        return [tuple(map(id, gates[k:k + size])) for k in range(len(gates))
+                if gates[k] == run[0] and gates[k:k + size] == run]
+
+    forward, backward = copies(block), copies(block[::-1])
+    assert len(forward) == len(backward) == params.n * n_x
+    assert set(forward) == {forward[0]}
+    assert set(backward) == {forward[0][::-1]}
+    assert modular_exponentiation(params) == circuit
 
 
 SELF_ADJOINT = {GateKind.X, GateKind.CNOT, GateKind.SWAP, GateKind.TOFFOLI}
@@ -185,12 +194,13 @@ def test_exponent_stages_make_up_modular_exponentiation(N):
     params = TemplateParams(N=N, y=2, n_x=4)
     layout = params.layout
     stages = list(templates._exponent_stages(layout, 2, N))
-    assert [g for _, _, gates in stages for g in gates] \
+    assert [g for gates in stages for g in gates] \
         == list(modular_exponentiation(params).gates)
     swaps = tuple(SWAP(z, b) for z, b in zip(layout.z, layout.b))
     assert len(stages) == 4
-    for i, (control, m, gates) in enumerate(stages):
-        assert (control, m) == (layout.x[i], pow(2, 2 ** i, N))
+    for i, gates in enumerate(stages):
+        assert isinstance(gates, list) and all(isinstance(g, Gate) for g in gates)
+        control, m = layout.x[i], pow(2, 2 ** i, N)
         multiply = ctrl_mult_mod(TemplateParams(N=N, m=m, n_x=4), control)
         unmultiply = ctrl_mult_mod_inv(
             TemplateParams(N=N, m=pow(m, -1, N), n_x=4), control)
