@@ -348,8 +348,9 @@ class RegisterLayout:
 class Circuit:
     """Ordered gate sequence over a fixed qubit count, immutable once built.
 
-    Any iterable of gates is accepted and stored as a tuple; circuits
-    compare and hash on (width, gates).
+    The width is stored as a non-negative int and bounds every wire; any
+    iterable of gates is stored as a tuple.  Circuits compare and hash on
+    (width, gates).
     """
 
     width: int
@@ -357,12 +358,18 @@ class Circuit:
 
     def __post_init__(self) -> None:
         width, gates = self.width, tuple(self.gates)
+        try:
+            width = operator.index(width)
+        except TypeError:
+            raise ValueError(f"width must be an integer, got {width!r}") from None
         if width < 0:
             raise ValueError(f"width must be >= 0, got {width}")
         for g in gates:
-            if max(g.wires) >= width:
-                raise ValueError(
-                    f"{g.kind.value} on wires {g.wires} exceeds circuit width {width}")
+            for w in g.wires:
+                if w >= width:
+                    raise ValueError(f"{g.kind.value} on wires {g.wires} "
+                                     f"exceeds circuit width {width}")
+        object.__setattr__(self, "width", width)
         object.__setattr__(self, "gates", gates)
 
     def __len__(self) -> int:

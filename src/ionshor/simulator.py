@@ -120,7 +120,9 @@ def _check_classical(gates, width: int, stage: int | None = None,
     ``n_x``) but its ``control``.
     """
     allowed = {control, *range(n_x, width)}.intersection(range(width))
-    for gate in gates:
+    # Each distinct object once, in order of first occurrence: the stages
+    # repeat one shared ADDER_MOD tuple.
+    for gate in dict(zip(map(id, gates), gates)).values():
         if gate.kind in CLASSICAL_KINDS and allowed.issuperset(gate.wires):
             continue
         pos = gates.index(gate)  # the first equal gate fails first

@@ -282,27 +282,27 @@ def reconstruct(params: UnitaryParams) -> np.ndarray:
     return cmath.exp(1j * params.d) * second @ first
 
 
-@dataclass(frozen=True)
-class NativeProgram:
-    """Sequence of R/XX gates plus the accumulated global phase."""
+@dataclass(frozen=True, slots=True)
+class NativeProgram(Circuit):
+    """A Circuit of R and XX gates plus the accumulated global phase, a finite
+    int or float; programs compare and hash on (width, gates, global_phase)."""
 
-    width: int
-    gates: tuple[Gate, ...]
     global_phase: float = 0.0
 
     def __post_init__(self) -> None:
-        r, xx, width = GateKind.R, GateKind.XX, self.width
+        # By name: zero-argument super() fails in a slots dataclass, whose
+        # class is rebuilt.
+        Circuit.__post_init__(self)
+        r, xx = GateKind.R, GateKind.XX
         for g in self.gates:
             kind = g.kind
             if kind is not r and kind is not xx:
                 raise ValueError(f"native programs hold only R and XX gates, "
                                  f"got {kind.value}")
-            for w in g.wires:
-                if w >= width:
-                    raise ValueError(f"gate wires {g.wires} exceed width {width}")
-
-    def __len__(self) -> int:
-        return len(self.gates)
+        phase = self.global_phase
+        if type(phase) is bool or not isinstance(phase, (int, float)) \
+                or not -math.inf < phase < math.inf:
+            raise ValueError(f"global_phase must be a finite number, got {phase!r}")
 
     def as_circuit(self) -> Circuit:
         """The same gates as a Circuit; drops the global phase."""

@@ -143,6 +143,22 @@ def test_circuit_rejects_out_of_range_wires():
         Circuit(2, [CNOT(0, 2)])
 
 
+def test_circuit_rejects_non_integer_width():
+    # serialize would write "qubits 2.5", which parse refuses
+    with pytest.raises(ValueError, match=r"width must be an integer, got 2\.5"):
+        Circuit(2.5, [X(0)])
+
+
+def test_circuit_stores_integer_width_as_int():
+    # bool and numpy widths pass operator.index, as wires do, and are stored
+    # as the int, so serialize writes a header parse accepts
+    for width in (True, np.int64(1)):
+        c = Circuit(width, [X(0)])
+        assert type(c.width) is int and c.width == 1
+        assert serialize(c) == "qubits 1\nX 0\n"
+        assert parse(serialize(c)) == c
+
+
 def test_circuit_is_immutable():
     c = Circuit(2, [H(0)])
     with pytest.raises(AttributeError):

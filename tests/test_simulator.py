@@ -236,6 +236,28 @@ def test_order_finding_distribution_rejects_non_classical_gate_before_run(
         assert f"gate {added[0][0]} is H" in str(info.value)
 
 
+def test_order_finding_distribution_names_first_copy_of_a_repeated_fault(
+        monkeypatch):
+    # the check visits each distinct gate object once; a faulty object that
+    # occurs twice in one stage must still be named at its first position
+    added = []
+
+    def faulty(layout, y, N):
+        for i, gates in enumerate(EXPONENT_STAGES(layout, y, N)):
+            if i == 4:
+                bad, middle = H(layout.x[i]), len(gates) // 2
+                gates = gates[:middle] + [bad] + gates[middle:] + [bad]
+                added.extend([(middle, bad), (len(gates) - 1, bad)])
+            yield gates
+
+    monkeypatch.setattr(simulator.templates, "_exponent_stages", faulty)
+    _run_refusing(monkeypatch, added)
+    with pytest.raises(ValueError, match=r"gate \d+ is H") as info:
+        order_finding_distribution(11, 2, 7)
+    assert str(info.value).startswith(f"gate {added[0][0]} is H")
+    assert added[0][0] < added[1][0]
+
+
 @pytest.mark.parametrize("stage,wire", [(0, 3), (3, 0), (6, 5), (2, 29)])
 def test_order_finding_distribution_rejects_stray_wires_before_run(
         monkeypatch, stage, wire):

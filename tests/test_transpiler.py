@@ -290,6 +290,37 @@ def test_native_program_validation():
         NativeProgram(1, (XX(0, 1, 0.1),))
 
 
+def test_native_program_is_a_circuit():
+    c = Circuit(3, [H(0), TOFFOLI(0, 1, 2), CRK(2, 1, 3)])
+    program = transpile(c)
+    assert isinstance(program, Circuit)
+    assert np.array_equal(circuit_unitary(program),
+                          circuit_unitary(program.as_circuit()))
+    assert len(program) == len(program.gates) > 0
+    assert list(program) == list(program.gates)
+    with pytest.raises(ValueError, match="width must be >= 0"):
+        NativeProgram(-1, ())
+
+
+def test_native_program_equality_keeps_the_phase():
+    gates = (R(0, 0.5, -0.25), XX(0, 1, math.pi / 4))
+    program = NativeProgram(2, gates, 0.125)
+    assert program == NativeProgram(2, list(gates), 0.125)
+    assert hash(program) == hash(NativeProgram(2, gates, 0.125))
+    assert program != NativeProgram(2, gates, 0.25)
+    assert program != NativeProgram(3, gates, 0.125)
+    assert program != NativeProgram(2, gates[:1], 0.125)
+    assert program != program.as_circuit()
+    assert program.as_circuit() == Circuit(2, gates)
+
+
+@pytest.mark.parametrize("phase", [math.nan, math.inf, -math.inf, "x", True, None])
+def test_native_program_rejects_a_non_finite_phase(phase):
+    # to_json would write a NaN phase as NaN, which is not JSON
+    with pytest.raises(ValueError, match="global_phase must be a finite number"):
+        NativeProgram(1, (R(0, 1.0, 2.0),), phase)
+
+
 def test_native_program_text_format():
     program = NativeProgram(2, (R(0, 0.5, -0.25), XX(0, 1, math.pi / 4)),
                             global_phase=0.125)
