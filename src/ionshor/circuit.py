@@ -23,7 +23,7 @@ __all__ = [
     "GateKind", "Gate", "Circuit", "RegisterLayout", "ParseError",
     "X", "H", "CNOT", "SWAP", "TOFFOLI", "FREDKIN", "CRK", "CRK_INV",
     "CV", "CV_INV", "U1", "R", "XX",
-    "gate_adjoint", "gate_matrix", "inverse", "serialize", "parse",
+    "crk_angle", "gate_adjoint", "gate_matrix", "inverse", "serialize", "parse",
 ]
 
 UNITARY_TOL = 1e-10
@@ -237,6 +237,13 @@ _FIXED_MATRIX = {
 }
 
 
+def crk_angle(gate: Gate) -> float:
+    """phi = +-2 pi / 2^k of a CRK (+) or CRKINV (-) gate; it is 0.0 once
+    2^-k underflows, however large k is."""
+    phi = math.ldexp(2 * math.pi, -int(gate.params[0]))
+    return -phi if gate.kind is GateKind.CRKINV else phi
+
+
 def gate_matrix(gate: Gate) -> np.ndarray:
     """Unitary of a gate on its own wires (first wire = most significant bit)."""
     kind = gate.kind
@@ -244,8 +251,7 @@ def gate_matrix(gate: Gate) -> np.ndarray:
     if fixed is not None:
         return fixed.copy()
     if kind in (GateKind.CRK, GateKind.CRKINV):
-        sign = 1 if kind is GateKind.CRK else -1
-        phase = np.exp(sign * 2j * np.pi / 2 ** int(gate.params[0]))
+        phase = np.exp(1j * crk_angle(gate))
         return np.diag([1, 1, 1, phase]).astype(complex)
     if kind is GateKind.U1:
         return _u1_matrix(gate.params)

@@ -9,7 +9,7 @@ three time steps).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from .circuit import GateKind
 from .templates import TemplateParams, default_n_x, order_finding
@@ -23,24 +23,32 @@ CSV_HEADER = "n,n_x,N,y,total_native,two_qubit,single_qubit,depth_bound"
 
 @dataclass(frozen=True)
 class ResourceReport:
-    """Gate totals and depth bound for one native program."""
+    """Per-kind gate counts and depth bound for one native program; the
+    totals are read from the histogram."""
 
-    total_native: int
-    two_qubit: int
-    single_qubit: int
+    histogram: dict[str, int]
     depth_bound: int
-    histogram: dict[str, int] = field(default_factory=dict)
     n: int | None = None
     n_x: int | None = None
     N: int | None = None
     y: int | None = None
 
     def __post_init__(self) -> None:
-        if self.total_native != self.two_qubit + self.single_qubit:
-            raise ValueError("total_native must equal two_qubit + single_qubit")
         if self.depth_bound % 3:
             raise ValueError("depth_bound carries the x3 factor, so it must be "
                              "divisible by 3")
+
+    @property
+    def total_native(self) -> int:
+        return sum(self.histogram.values())
+
+    @property
+    def two_qubit(self) -> int:
+        return self.histogram.get(GateKind.XX.value, 0)
+
+    @property
+    def single_qubit(self) -> int:
+        return self.total_native - self.two_qubit
 
     def to_dict(self) -> dict:
         """The JSON form as a dict, for serialising several reports at once."""
@@ -79,12 +87,7 @@ def count_gates(program: NativeProgram) -> ResourceReport:
     kinds = [g.kind for g in program.gates]
     # keys in order of first appearance
     histogram = {k.value: kinds.count(k) for k in dict.fromkeys(kinds)}
-    two_qubit = histogram.get(GateKind.XX.value, 0)
-    total = len(kinds)
-    return ResourceReport(total_native=total, two_qubit=two_qubit,
-                          single_qubit=total - two_qubit,
-                          depth_bound=depth_bound(program),
-                          histogram=histogram)
+    return ResourceReport(histogram, depth_bound(program))
 
 
 def estimate_order_finding(n: int, n_x: int | None = None) -> ResourceReport:

@@ -52,8 +52,9 @@ class TemplateParams:
             raise ValueError(f"modulus N must be >= 2, got {self.N}")
         n = self.N.bit_length() if self.n is None else self.n
         object.__setattr__(self, "n", n)
-        if self.N > 2 ** n - 1:
-            raise ValueError("N is too big")
+        if self.N.bit_length() > n:
+            raise ValueError(f"N is too big: N = {self.N} needs n >= "
+                             f"{self.N.bit_length()} bits, got n = {n}")
         object.__setattr__(self, "layout", RegisterLayout(self.n_x, n))
 
 

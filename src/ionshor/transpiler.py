@@ -17,9 +17,12 @@ their wire and no intermediate circuit is built.  Products are interned 2x2
 matrices, so each distinct (factor, product) step is multiplied once and
 each distinct product is decomposed once per call, whatever its wire.
 ``lower_toffoli``, ``lower_two_qubit`` and ``merge_singles`` are stepwise
-views of the same lowering, built from the same tables, and
-``merge_singles(lower_two_qubit(lower_toffoli(c), s))`` equals
-``transpile(c, s)`` exactly, gates and phase.
+views of the same lowering, built from the same tables:
+``merge_singles(lower_two_qubit(c))`` equals ``transpile(c)`` exactly, gates
+and phase, with or without ``lower_toffoli`` first.
+
+The lowering takes no options.  Every XX it emits has chi >= 0: a source
+XX(-chi) becomes Z XX(chi) Z, the Z on its first wire.
 
 Phases are tracked, not discarded: the identities in step 3 are exact and
 step 4 accumulates each d into NativeProgram.global_phase, so the emitted
@@ -31,12 +34,13 @@ import cmath
 import json
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Callable
 
 import numpy as np
 
 from .circuit import (
-    UNITARY_TOL, U1, R, XX, Circuit, Gate, GateKind, gate_matrix, unitary_deviation,
+    UNITARY_TOL, U1, R, XX, Circuit, Gate, GateKind, crk_angle, gate_matrix,
+    unitary_deviation,
 )
 
 __all__ = [
@@ -88,7 +92,7 @@ _BLOCKS = {
         _fixed(_HM), math.pi / 8,
         _fixed(_phase(-math.pi / 4) @ _HM), _fixed(_rx(-math.pi / 4))),
 }
-# XX(chi) = (Z (x) I) XX(-chi) (Z (x) I), for pairs that offer only -chi.
+# XX(-chi) = (Z (x) I) XX(chi) (Z (x) I), for source XX gates with chi < 0.
 _Z = _fixed(_PZ)
 
 # Steps 1 and 2: SWAP, Toffoli and Fredkin as sequences of step-3 blocks,
@@ -128,58 +132,31 @@ def lower_toffoli(circuit: Circuit) -> Circuit:
 def _crk_phases(g: Gate) -> tuple[np.ndarray, np.ndarray]:
     """P(-phi/2) and P(phi/2) of CR_k(c, t) = (P(phi/2) (x) P(phi/2))
     CNOT (I (x) P(-phi/2)) CNOT, with phi = +-2 pi / 2^k."""
-    phi = 2 * math.pi / 2 ** int(g.params[0])
-    if g.kind is GateKind.CRKINV:
-        phi = -phi
+    phi = crk_angle(g)
     return _fixed(_phase(-phi / 2)), _fixed(_phase(phi / 2))
 
 
-XXSigns = Mapping[frozenset, int] | int | None
-
-
-def _pair_sign(xx_sign: XXSigns, w0: int, w1: int) -> int:
-    if xx_sign is None:
-        return 1
-    if isinstance(xx_sign, Mapping):
-        return 1 if xx_sign.get(frozenset((w0, w1)), 1) >= 0 else -1
-    return 1 if xx_sign >= 0 else -1
-
-
-def _walk(circuit: Circuit, xx_sign: XXSigns, three_qubit: bool,
-          single: Callable[[int, np.ndarray], None],
+def _walk(circuit: Circuit, single: Callable[[int, np.ndarray], None],
           source_single: Callable[[Gate], None],
           native_xx: Callable[[Gate], None]) -> None:
     """Lower ``circuit`` through step 3, handing each gate to a callback.
 
     In circuit order, ``single(w, m)`` gets each fixed factor m placed on
     wire w, ``source_single(g)`` each single-qubit gate of the source, and
-    ``native_xx(g)`` each XX gate, with chi already of the sign the pair
-    offers.  Toffoli and Fredkin are lowered only if ``three_qubit`` is set.
+    ``native_xx(g)`` each XX gate, always with chi >= 0.
     """
     xx_gates: dict[tuple[int, int, float], Gate] = {}
     crk: dict[tuple[GateKind, float], tuple[np.ndarray, np.ndarray]] = {}
 
-    def block_xx(w0: int, w1: int, chi: float) -> Gate:
-        # block angles are fixed non-zero floats, so the key names one gate
-        key = (w0, w1, chi)
-        g = xx_gates.get(key)
-        if g is None:
-            g = xx_gates[key] = XX(w0, w1, chi)
-        return g
-
-    def emit_xx(w0: int, w1: int, chi: float,
-                make: Callable[[int, int, float], Gate]) -> None:
-        if chi * _pair_sign(xx_sign, w0, w1) < 0:
-            single(w0, _Z)
-            native_xx(make(w0, w1, -chi))
-            single(w0, _Z)
-        else:
-            native_xx(make(w0, w1, chi))
-
     def block(kind: GateKind, c: int, t: int) -> None:
         pre_c, chi, post_c, post_t = _BLOCKS[kind]
         single(c, pre_c)
-        emit_xx(c, t, chi, block_xx)
+        # block angles are fixed positive floats, so the key names one gate
+        key = (c, t, chi)
+        xx = xx_gates.get(key)
+        if xx is None:
+            xx = xx_gates[key] = XX(c, t, chi)
+        native_xx(xx)
         single(c, post_c)
         single(t, post_t)
 
@@ -190,12 +167,18 @@ def _walk(circuit: Circuit, xx_sign: XXSigns, three_qubit: bool,
         elif kind in _BLOCKS:
             block(kind, *g.wires)
         elif kind is GateKind.XX:
-            emit_xx(g.wires[0], g.wires[1], g.params[0], XX)
-        elif kind is GateKind.SWAP or (three_qubit and kind in _THREE_QUBIT):
+            (w0, w1), (chi,) = g.wires, g.params
+            if chi < 0:
+                single(w0, _Z)
+                native_xx(XX(w0, w1, -chi))
+                single(w0, _Z)
+            else:
+                native_xx(XX(w0, w1, chi))
+        elif kind in _EXPANSIONS:
             w = g.wires
             for sub, (i, j) in _EXPANSIONS[kind]:
                 block(sub, w[i], w[j])
-        elif kind in (GateKind.CRK, GateKind.CRKINV):
+        else:  # CRK or CRKINV
             key = (kind, g.params[0])
             if key not in crk:
                 crk[key] = _crk_phases(g)
@@ -206,21 +189,16 @@ def _walk(circuit: Circuit, xx_sign: XXSigns, three_qubit: bool,
             block(GateKind.CNOT, c, t)
             single(t, pos)
             single(c, pos)
-        else:
-            raise ValueError(f"cannot lower {kind.value} to the native set")
 
 
-def lower_two_qubit(circuit: Circuit, xx_sign: XXSigns = None) -> Circuit:
-    """Map every two-qubit gate onto a single XX block.
+def lower_two_qubit(circuit: Circuit) -> Circuit:
+    """Map every multi-qubit gate onto XX blocks, Toffoli and Fredkin too.
 
-    ``xx_sign`` declares which chi sign the hardware offers, either globally
-    or as a mapping frozenset({w0, w1}) -> +-1 per qubit pair (default all
-    positive).  An XX whose angle has the unavailable sign is emitted as
-    XX(-chi) conjugated by Z on the first wire.
+    Every XX in the result has chi >= 0: a source XX(-chi) is emitted as
+    XX(chi) conjugated by Z on its first wire.
     """
     lowered: list[Gate] = []
-    _walk(circuit, xx_sign, False,
-          single=lambda w, m: lowered.append(U1(w, m)),
+    _walk(circuit, single=lambda w, m: lowered.append(U1(w, m)),
           source_single=lowered.append, native_xx=lowered.append)
     return Circuit(circuit.width, lowered)
 
@@ -468,10 +446,10 @@ def merge_singles(circuit: Circuit) -> NativeProgram:
     return merger.program(circuit.width)
 
 
-def transpile(circuit: Circuit, xx_sign: XXSigns = None) -> NativeProgram:
-    """Run the four lowering steps as one pass; XX gates are realigned to
-    the available chi sign (default positive)."""
+def transpile(circuit: Circuit) -> NativeProgram:
+    """Run the four lowering steps as one pass; every emitted XX has chi >= 0,
+    a source XX(-chi) becoming Z XX(chi) Z on its first wire."""
     merger = _Merger()
-    _walk(circuit, xx_sign, True, single=merger.single,
-          source_single=merger.gate, native_xx=merger.xx)
+    _walk(circuit, single=merger.single, source_single=merger.gate,
+          native_xx=merger.xx)
     return merger.program(circuit.width)

@@ -59,6 +59,14 @@ def test_build_missing_param_exits_1(capsys):
     assert code == 1 and "--N" in err
 
 
+@pytest.mark.parametrize("n", [2, 0])
+def test_build_too_small_n_names_both_values(capsys, n):
+    code, out, err = run(capsys, "build", "--template", "ADDER_MOD",
+                         "--N", "5", "--n", str(n))
+    assert code == 1 and out == ""
+    assert f"N is too big: N = 5 needs n >= 3 bits, got n = {n}" in err
+
+
 def test_simulate_trivial_distribution(capsys):
     code, out, _ = run(capsys, "simulate", "--N", "5", "--y", "1", "--nx", "4")
     assert code == 0
@@ -184,6 +192,16 @@ def test_transpile_json_format(tmp_path, capsys):
     assert code == 0
     payload = json.loads(out)
     assert {g["gate"] for g in payload["gates"]} <= {"R", "XX"}
+
+
+@pytest.mark.parametrize("kind", ["CRK", "CRKINV"])
+@pytest.mark.parametrize("k", [1024, 10**20])
+def test_transpile_crk_beyond_float_exponent(tmp_path, capsys, kind, k):
+    source = tmp_path / "crk.qc"
+    source.write_text(f"qubits 2\n{kind} 0 1 {k}\n")
+    code, out, err = run(capsys, "transpile", str(source))
+    assert code == 0 and err == ""
+    assert out.splitlines()[-1].startswith("# global_phase ")
 
 
 def test_transpile_missing_file_exits_2(capsys):

@@ -98,12 +98,8 @@ def test_depth_subadditive_under_concatenation(rng):
 
 
 def test_report_invariants():
-    with pytest.raises(ValueError, match="two_qubit"):
-        ResourceReport(total_native=3, two_qubit=1, single_qubit=1,
-                       depth_bound=3)
     with pytest.raises(ValueError, match="divisible by 3"):
-        ResourceReport(total_native=2, two_qubit=1, single_qubit=1,
-                       depth_bound=4)
+        ResourceReport({"R": 1, "XX": 1}, depth_bound=4)
 
 
 def test_estimate_records_parameters():
@@ -143,8 +139,7 @@ def test_counts_stable_across_same_width_moduli():
 
 
 def test_reports_to_csv():
-    report = ResourceReport(total_native=3, two_qubit=1, single_qubit=2,
-                            depth_bound=3, histogram={"R": 2, "XX": 1},
+    report = ResourceReport({"R": 2, "XX": 1}, depth_bound=3,
                             n=2, n_x=6, N=3, y=2)
     text = reports_to_csv([report])
     lines = text.splitlines()

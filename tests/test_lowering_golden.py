@@ -81,22 +81,13 @@ def _random_mixed_circuit(rng: np.random.Generator, width: int) -> Circuit:
     return Circuit(width, gates)
 
 
-def _xx_signs(rng: np.random.Generator, width: int):
-    yield None
-    yield 1
-    yield -1
-    yield {frozenset(map(int, pair)): int(rng.choice([-1, 1]))
-           for pair in (rng.choice(width, size=2, replace=False)
-                        for _ in range(width))}
-
-
 def test_one_pass_equals_stepwise_pipeline(rng):
     for _ in range(80):
         width = int(rng.integers(2, 7))
         c = _random_mixed_circuit(rng, width)
-        for xx_sign in _xx_signs(rng, width):
-            fused = transpile(c, xx_sign)
-            stepwise = merge_singles(lower_two_qubit(lower_toffoli(c), xx_sign))
+        fused = transpile(c)
+        for stepwise in (merge_singles(lower_two_qubit(lower_toffoli(c))),
+                         merge_singles(lower_two_qubit(c))):
             assert fused.width == stepwise.width
             assert fused.gates == stepwise.gates
             assert fused.global_phase == stepwise.global_phase
