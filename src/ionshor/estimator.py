@@ -69,25 +69,21 @@ class ResourceReport:
 
 def depth_bound(program: NativeProgram) -> int:
     """Upper bound on circuit depth: 3 x the deepest two-qubit level."""
-    levels: dict[int, int] = {}
-    deepest = 0
-    for g in program.gates:
-        if len(g.wires) != 2:
-            continue
-        w0, w1 = g.wires
-        lvl = max(levels.get(w0, 0), levels.get(w1, 0)) + 1
-        levels[w0] = levels[w1] = lvl
-        if lvl > deepest:
-            deepest = lvl
-    return 3 * deepest
+    xx = GateKind.XX
+    levels = [0] * program.width
+    for w0, w1 in [g.wires for g in program.gates if g.kind is xx]:
+        a, b = levels[w0], levels[w1]
+        levels[w0] = levels[w1] = (a if a > b else b) + 1
+    return 3 * max(levels, default=0)
 
 
 def count_gates(program: NativeProgram) -> ResourceReport:
     """Exact per-kind counts plus the depth bound of a native program."""
+    depth = depth_bound(program)  # first, so its list and kinds never coexist
     kinds = [g.kind for g in program.gates]
     # keys in order of first appearance
     histogram = {k.value: kinds.count(k) for k in dict.fromkeys(kinds)}
-    return ResourceReport(histogram, depth_bound(program))
+    return ResourceReport(histogram, depth)
 
 
 def estimate_order_finding(n: int, n_x: int | None = None) -> ResourceReport:

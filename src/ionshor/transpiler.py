@@ -16,8 +16,14 @@ fixed factors of each step-3 block go straight into the pending product of
 their wire and no intermediate circuit is built.  Products are interned 2x2
 matrices, so each distinct (factor, product) step is multiplied once and
 each distinct product is decomposed once per call, whatever its wire.
+A repeated multi-qubit source gate is lowered once per entering state: the
+transition memo is keyed by the gate object's id and the product ids
+pending on its wires, and holds the natives and phase terms the lowering
+appended and the ids it left on those wires.  The key is sound because
+lowering a gate reads and writes only the products pending on its own
+wires, and interned ids are never renumbered within a call.
 ``lower_toffoli``, ``lower_two_qubit`` and ``merge_singles`` are stepwise
-views of the same lowering, built from the same tables:
+views of the same lowering, built from the same tables but with no memo:
 ``merge_singles(lower_two_qubit(c))`` equals ``transpile(c)`` exactly, gates
 and phase, with or without ``lower_toffoli`` first.
 
@@ -136,14 +142,15 @@ def _crk_phases(g: Gate) -> tuple[np.ndarray, np.ndarray]:
     return _fixed(_phase(-phi / 2)), _fixed(_phase(phi / 2))
 
 
-def _walk(circuit: Circuit, single: Callable[[int, np.ndarray], None],
+def _walk(single: Callable[[int, np.ndarray], None],
           source_single: Callable[[Gate], None],
-          native_xx: Callable[[Gate], None]) -> None:
-    """Lower ``circuit`` through step 3, handing each gate to a callback.
+          native_xx: Callable[[Gate], None]) -> Callable[[Gate], None]:
+    """A lowerer through step 3 that hands each gate it makes to a callback.
 
-    In circuit order, ``single(w, m)`` gets each fixed factor m placed on
-    wire w, ``source_single(g)`` each single-qubit gate of the source, and
-    ``native_xx(g)`` each XX gate, always with chi >= 0.
+    The returned function lowers one source gate: in order, ``single(w, m)``
+    gets each fixed factor m placed on wire w, ``source_single(g)`` a
+    single-qubit source gate, and ``native_xx(g)`` each XX gate, always with
+    chi >= 0.  One lowerer shares its XX and CR_k tables across its gates.
     """
     xx_gates: dict[tuple[int, int, float], Gate] = {}
     crk: dict[tuple[GateKind, float], tuple[np.ndarray, np.ndarray]] = {}
@@ -160,7 +167,7 @@ def _walk(circuit: Circuit, single: Callable[[int, np.ndarray], None],
         single(c, post_c)
         single(t, post_t)
 
-    for g in circuit.gates:
+    def lower(g: Gate) -> None:
         kind = g.kind
         if kind in _SINGLE_KINDS:
             source_single(g)
@@ -190,6 +197,8 @@ def _walk(circuit: Circuit, single: Callable[[int, np.ndarray], None],
             single(t, pos)
             single(c, pos)
 
+    return lower
+
 
 def lower_two_qubit(circuit: Circuit) -> Circuit:
     """Map every multi-qubit gate onto XX blocks, Toffoli and Fredkin too.
@@ -198,8 +207,10 @@ def lower_two_qubit(circuit: Circuit) -> Circuit:
     XX(chi) conjugated by Z on its first wire.
     """
     lowered: list[Gate] = []
-    _walk(circuit, single=lambda w, m: lowered.append(U1(w, m)),
-          source_single=lowered.append, native_xx=lowered.append)
+    lower = _walk(single=lambda w, m: lowered.append(U1(w, m)),
+                  source_single=lowered.append, native_xx=lowered.append)
+    for g in circuit.gates:
+        lower(g)
     return Circuit(circuit.width, lowered)
 
 
@@ -292,7 +303,8 @@ class NativeProgram(Circuit):
 
         Each distinct gate object is formatted once per call.
         """
-        lines = [f"qubits {self.width}", *_render_once(self.gates, _text_line)]
+        lines = [f"qubits {self.width}",
+                 *_render_once(self.gates, _text_params, _text_line)]
         lines.append(f"# global_phase {self.global_phase:.12g}")
         return "\n".join(lines) + "\n"
 
@@ -303,42 +315,60 @@ class NativeProgram(Circuit):
         Each distinct gate object is encoded once per call, and the
         fragments are joined with the separator ``json.dumps`` uses.
         """
-        gates = ", ".join(_render_once(self.gates, _json_object))
+        gates = ", ".join(_render_once(self.gates, _json_params, _json_object))
         return (f'{{"qubits": {json.dumps(self.width)}, "gates": [{gates}], '
                 f'"global_phase": {json.dumps(self.global_phase)}}}')
 
 
-def _render_once(gates: tuple[Gate, ...], render: Callable[[Gate], str]) -> list[str]:
-    """``[render(g) for g in gates]``, calling render once per distinct object.
+def _render_once(gates: tuple[Gate, ...], render_params: Callable[[tuple], str],
+                 render: Callable[[Gate, str], str]) -> list[str]:
+    """``[render(g, render_params(g.params)) for g in gates]``, calling render
+    once per distinct gate object and render_params once per distinct params
+    object.
 
     The lowering shares one object among all copies of a memoised gate, and
-    ``gates`` holds every object for the whole call, so no id is reused.
+    one params tuple among the R gates of a product on every wire.  ``gates``
+    holds every object for the whole call, so no id is reused.  The caches
+    are keyed by identity, never by value: 0.0 == -0.0, but they print apart.
     """
     rendered: dict[int, str] = {}
+    rendered_params: dict[int, str] = {}
     out = []
     for g in gates:
         text = rendered.get(id(g))
         if text is None:
-            text = rendered[id(g)] = render(g)
+            params = g.params
+            ptext = rendered_params.get(id(params))
+            if ptext is None:
+                ptext = rendered_params[id(params)] = render_params(params)
+            text = rendered[id(g)] = render(g, ptext)
         out.append(text)
     return out
 
 
-def _text_line(g: Gate) -> str:
-    return " ".join([g.kind.value, *map(str, g.wires), *[f"{p:.12g}" for p in g.params]])
+def _text_params(params: tuple) -> str:
+    return "".join([f" {p:.12g}" for p in params])
+
+
+def _text_line(g: Gate, params_text: str) -> str:
+    return " ".join([g.kind.value, *map(str, g.wires)]) + params_text
 
 
 _JSON_KINDS = {kind: json.dumps(kind.value) for kind in GateKind}
 
 
-def _json_object(g: Gate) -> str:
-    """``json.dumps({"gate": ..., "wires": [...], "params": [...]})``, which
-    writes an int as ``str`` and a finite float as ``float.__repr__`` (R and
-    XX params are finite); any other param goes through json.dumps."""
+def _json_params(params: tuple) -> str:
+    """The params list as ``json.dumps`` writes it: an int as ``str`` and a
+    finite float as ``float.__repr__`` (R and XX params are finite); any
+    other param goes through json.dumps."""
+    return ", ".join([float.__repr__(p) if type(p) is float else json.dumps(p)
+                      for p in params])
+
+
+def _json_object(g: Gate, params_text: str) -> str:
+    """``json.dumps({"gate": ..., "wires": [...], "params": [...]})``."""
     return '{"gate": %s, "wires": [%s], "params": [%s]}' % (
-        _JSON_KINDS[g.kind], ", ".join(map(str, g.wires)),
-        ", ".join([float.__repr__(p) if type(p) is float else json.dumps(p)
-                   for p in g.params]))
+        _JSON_KINDS[g.kind], ", ".join(map(str, g.wires)), params_text)
 
 
 _IDENTITY_TOL = 1e-12
@@ -356,15 +386,16 @@ class _Merger:
     the (theta, phi) of its R gates and its phase, so each distinct product
     is decomposed once; ``flushed`` maps (product id, wire) to those gates
     and phase, so every flush of one product on one wire shares its gates.
+    ``phases`` holds the phase term of every flush, in emission order.
     """
 
-    __slots__ = ("pending", "out", "phase", "mats", "ids", "steps", "angles",
+    __slots__ = ("pending", "out", "phases", "mats", "ids", "steps", "angles",
                  "flushed")
 
     def __init__(self) -> None:
         self.pending: dict[int, int] = {}
         self.out: list[Gate] = []
-        self.phase = 0.0
+        self.phases: list[float] = []
         self.mats: list[np.ndarray] = []
         self.ids: dict[bytes, int] = {}
         self.steps: dict[tuple[int, int], int] = {}
@@ -406,10 +437,12 @@ class _Merger:
         hit = self.flushed.get(key)
         if hit is None:
             rotations, phase = self.rotations(product)
+            # one params tuple per product, shared by every wire it lands on
             hit = self.flushed[key] = (
-                tuple([R(wire, theta, phi) for theta, phi in rotations]), phase)
+                tuple([Gate(GateKind.R, (wire,), pair) for pair in rotations]),
+                phase)
         self.out += hit[0]
-        self.phase += hit[1]
+        self.phases.append(hit[1])
 
     def rotations(self, product: int) -> _Rotations:
         hit = self.angles.get(product)
@@ -428,8 +461,13 @@ class _Merger:
     def program(self, width: int) -> NativeProgram:
         for w in sorted(self.pending):
             self.flush(w)
+        # Term by term in emission order; sum() compensates on Python >= 3.12.
+        phase = 0.0
+        for term in self.phases:
+            phase += term
+        self.phases.clear()  # released before the program tuple is built
         return NativeProgram(width, tuple(self.out),
-                             float(math.remainder(self.phase, 2 * math.pi)))
+                             float(math.remainder(phase, 2 * math.pi)))
 
 
 def merge_singles(circuit: Circuit) -> NativeProgram:
@@ -448,8 +486,48 @@ def merge_singles(circuit: Circuit) -> NativeProgram:
 
 def transpile(circuit: Circuit) -> NativeProgram:
     """Run the four lowering steps as one pass; every emitted XX has chi >= 0,
-    a source XX(-chi) becoming Z XX(chi) Z on its first wire."""
+    a source XX(-chi) becoming Z XX(chi) Z on its first wire.
+
+    The transition memo maps (id(g), pending product id or None on each wire
+    of g) to the natives and phase terms that lowering g appended and the
+    ids it left on its wires.  It is sound because lowering g reads and
+    writes only the pending products of its own wires, and the merger's
+    tables depend only on their keys, whose ids are never renumbered within
+    a call.  ``circuit`` holds every gate object for the call, so no id is
+    reused.
+    """
     merger = _Merger()
-    _walk(circuit, single=merger.single, source_single=merger.gate,
-          native_xx=merger.xx)
+    lower = _walk(single=merger.single, source_single=merger.gate,
+                  native_xx=merger.xx)
+    pending, out, phases = merger.pending, merger.out, merger.phases
+    # Transitions are recorded from a gate object's second visit on, so
+    # gates that occur once (such as the CR_k of a QFT) cost no memory.
+    seen: set[int] = set()
+    memo: dict[tuple[int | None, ...],
+               tuple[tuple[Gate, ...], tuple[float, ...], tuple[int | None, ...]]] = {}
+    for g in circuit.gates:
+        if g.kind in _SINGLE_KINDS:
+            merger.gate(g)
+            continue
+        wires = g.wires
+        key = (id(g), *[pending.get(w) for w in wires])
+        hit = memo.get(key)
+        if hit is not None:
+            natives, terms, exits = hit
+            out += natives
+            phases += terms
+            for w, exit_id in zip(wires, exits):
+                if exit_id is None:
+                    pending.pop(w, None)
+                else:
+                    pending[w] = exit_id
+        elif id(g) in seen:
+            n_out, n_phases = len(out), len(phases)
+            lower(g)
+            memo[key] = (tuple(out[n_out:]), tuple(phases[n_phases:]),
+                         tuple([pending.get(w) for w in wires]))
+        else:
+            seen.add(id(g))
+            lower(g)
+    del seen, memo  # not part of the peak while the program tuple is built
     return merger.program(circuit.width)

@@ -23,3 +23,12 @@ def test_estimate_matches_pinned_output(capsys, fmt):
     out = capsys.readouterr().out
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == ESTIMATE_GOLDEN[fmt]
+
+
+def test_largest_bench_estimate_matches_pinned_output(capsys):
+    # the n = 4 op of the estimate benchmark, where the lowering repeats most
+    code = main(["estimate", "--n-range", "4", "--nx", "9", "--format", "json"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "3be8a061b764fd90e11175e388b6e47d9a44bfa4bda4bb2dfd4074dbdc994423"

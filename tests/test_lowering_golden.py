@@ -11,7 +11,11 @@ import numpy as np
 import pytest
 
 from ionshor import transpiler
-from ionshor.circuit import R, XX, Circuit
+from ionshor.circuit import (
+    CNOT, CRK, CRK_INV, FREDKIN, SWAP, TOFFOLI, H, R, X, XX, Circuit, parse,
+    serialize,
+)
+from ionshor.simulator import circuit_unitary
 from ionshor.templates import TemplateParams, order_finding, qft, qft_inv
 from ionshor.transpiler import (
     lower_toffoli, lower_two_qubit, merge_singles, transpile,
@@ -112,3 +116,70 @@ def test_each_product_is_decomposed_at_most_once_per_call(monkeypatch, make):
     assert len(calls) == len(set(calls))
     # far fewer decompositions than emitted rotation pairs
     assert 10 * len(calls) < len(program)
+
+
+def _shared_pool(rng: np.random.Generator, width: int) -> list:
+    """A few gate objects of every multi-qubit kind plus single-qubit gates,
+    for circuits that visit each object many times."""
+    pool = list(random_circuit(rng, width, 12).gates)
+    for _ in range(2):
+        a, b, c = (int(w) for w in rng.choice(width, size=3, replace=False))
+        pool += [CRK(a, b, int(rng.integers(1, 6))), CRK_INV(b, a, 3),
+                 TOFFOLI(a, b, c), FREDKIN(c, a, b), SWAP(a, c),
+                 XX(a, b, float(rng.uniform(0.05, 1.5))),
+                 XX(b, c, -float(rng.uniform(0.05, 1.5))),
+                 H(a), X(c), R(b, 0.3, -1.2)]
+    return pool
+
+
+def _assert_memo_agrees(c: Circuit, fused) -> None:
+    stepwise = merge_singles(lower_two_qubit(c))
+    assert fused.gates == stepwise.gates
+    assert fused.global_phase == stepwise.global_phase
+    assert fused.to_json() == stepwise.to_json()
+    got = np.exp(1j * fused.global_phase) * circuit_unitary(fused.as_circuit())
+    assert np.abs(got - circuit_unitary(c)).max() < 1e-9
+
+
+def test_transition_memo_equals_stepwise_under_varied_entering_states(rng):
+    # Shared objects recur after different gates on their wires, so the memo
+    # hits and misses under many entering products; the stepwise views lower
+    # every gate afresh and are the reference.
+    for _ in range(30):
+        width = int(rng.integers(3, 6))
+        pool = _shared_pool(rng, width)
+        picks = rng.integers(len(pool), size=int(rng.integers(20, 80)))
+        c = Circuit(width, [pool[i] for i in picks])
+        _assert_memo_agrees(c, transpile(c))
+
+
+def test_transition_memo_keys_on_the_entering_products(monkeypatch):
+    cx, xx = CNOT(0, 1), XX(0, 1, 0.3)
+    # visits of cx: nothing pending (first sight, then recorded, then a hit),
+    # then after an H on its control (a miss under a new entering product)
+    c = Circuit(2, [cx, xx, cx, xx, cx, H(0), cx])
+    lowered: list = []
+    walk = transpiler._walk
+
+    def counting_walk(**callbacks):
+        lower = walk(**callbacks)
+
+        def counted(g):
+            lowered.append(g)
+            lower(g)
+        return counted
+
+    monkeypatch.setattr(transpiler, "_walk", counting_walk)
+    fused = transpile(c)
+    assert [g is cx for g in lowered] == [True, False, True, False, True]
+    _assert_memo_agrees(c, fused)
+
+
+def test_parsed_order_finding_shares_objects_and_matches_pinned_output():
+    name, make, natives, text_digest, json_digest = GOLDEN[0]
+    c = parse(serialize(make()))
+    assert len({id(g) for g in c.gates}) < len(c.gates) // 10
+    program = transpile(c)
+    assert len(program) == natives
+    assert _sha256(program.to_text()) == text_digest
+    assert _sha256(program.to_json()) == json_digest
