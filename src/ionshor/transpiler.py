@@ -2,11 +2,17 @@
 
 The lowering has four steps:
 
-  1. expand SWAP, Fredkin and CR_k over {Toffoli, CNOT, single-qubit};
+  1. expand SWAP and Fredkin over {Toffoli, CNOT};
   2. replace each Toffoli by the controlled-sqrt(X) block
      CV(b,t) CNOT(a,b) CV'(b,t) CNOT(a,b) CV(a,t);
-  3. replace CNOT / CV / CV' by one XX(pi/4) / XX(pi/8) conjugated with
-     fixed single-qubit gates (identities below, exact including phase);
+  3. replace CNOT / CV / CV' / CR_k by one XX conjugated with fixed
+     single-qubit gates, by these identities, exact including phase:
+       CNOT = e^{i pi/4} (RZ(pi/2) H Z (x) RX(pi/2)) XX(pi/4) (Z H (x) I)
+       CV   = (P(pi/4) H Z (x) RX(pi/4)) XX(pi/8) (Z H (x) I)
+       CV'  = (P(-pi/4) H (x) RX(-pi/4)) XX(pi/8) (H (x) I)
+       CR_k = e^{-i phi/4} (P(phi/2) H (x) P(phi/2) H) XX(-phi/4) (H (x) H)
+     with phi = crk_angle (+-2 pi / 2^k); for phi > 0 the XX(-phi/4) is
+     (Z (x) I) XX(phi/4) (Z (x) I), and a CR_k with phi = 0 emits nothing;
   4. multiply every maximal run of single-qubit gates on a wire into one
      unitary and emit it as at most two R rotations via the closed-form
      decomposition U = e^{id} R(-pi, -c-pi/2) R(2b+pi, a-c-pi/2).
@@ -81,21 +87,19 @@ def _fixed(matrix: np.ndarray) -> np.ndarray:
     return gate_matrix(U1(0, matrix))
 
 
-# Step-3 identities, kind -> (pre on control, chi, post on control, post on
-# target):
-#   CNOT = e^{i pi/4} (RZ(pi/2) H Z (x) RX(pi/2)) XX(pi/4) (Z H (x) I)
-#   CV   = (P(pi/4) H Z (x) RX(pi/4)) XX(pi/8) (Z H (x) I)
-#   CV'  = (P(-pi/4) H (x) RX(-pi/4)) XX(pi/8) (H (x) I)
+# Step-3 blocks, each (pre on control, pre on target or None, XX params,
+# post on control, post on target) by the identities of the module
+# docstring; every XX of a row shares the row's params tuple.
 _BLOCKS = {
     GateKind.CNOT: (
-        _fixed(_PZ @ _HM), math.pi / 4,
+        _fixed(_PZ @ _HM), None, (math.pi / 4,),
         _fixed(cmath.exp(0.25j * math.pi) * (_rz(math.pi / 2) @ _HM @ _PZ)),
         _fixed(_rx(math.pi / 2))),
     GateKind.CV: (
-        _fixed(_PZ @ _HM), math.pi / 8,
+        _fixed(_PZ @ _HM), None, (math.pi / 8,),
         _fixed(_phase(math.pi / 4) @ _HM @ _PZ), _fixed(_rx(math.pi / 4))),
     GateKind.CVINV: (
-        _fixed(_HM), math.pi / 8,
+        _fixed(_HM), None, (math.pi / 8,),
         _fixed(_phase(-math.pi / 4) @ _HM), _fixed(_rx(-math.pi / 4))),
 }
 # XX(-chi) = (Z (x) I) XX(chi) (Z (x) I), for source XX gates with chi < 0.
@@ -135,11 +139,18 @@ def lower_toffoli(circuit: Circuit) -> Circuit:
     return Circuit(circuit.width, lowered)
 
 
-def _crk_phases(g: Gate) -> tuple[np.ndarray, np.ndarray]:
-    """P(-phi/2) and P(phi/2) of CR_k(c, t) = (P(phi/2) (x) P(phi/2))
-    CNOT (I (x) P(-phi/2)) CNOT, with phi = +-2 pi / 2^k."""
+def _crk_row(g: Gate) -> tuple | None:
+    """The step-3 row of a CR_k or CR_k' gate, or None when its angle phi
+    has underflowed to 0 and the gate is the identity."""
     phi = crk_angle(g)
-    return _fixed(_phase(-phi / 2)), _fixed(_phase(phi / 2))
+    if phi == 0:
+        return None
+    pre_c, post = _HM, _phase(phi / 2) @ _HM
+    post_c = cmath.exp(-0.25j * phi) * post
+    if phi > 0:  # XX(-phi/4) = (Z (x) I) XX(phi/4) (Z (x) I)
+        pre_c, post_c = _PZ @ pre_c, post_c @ _PZ
+    return (_fixed(pre_c), _fixed(_HM), (abs(phi) / 4,), _fixed(post_c),
+            _fixed(post))
 
 
 def _walk(single: Callable[[int, np.ndarray], None],
@@ -152,17 +163,19 @@ def _walk(single: Callable[[int, np.ndarray], None],
     single-qubit source gate, and ``native_xx(g)`` each XX gate, always with
     chi >= 0.  One lowerer shares its XX and CR_k tables across its gates.
     """
-    xx_gates: dict[tuple[int, int, float], Gate] = {}
-    crk: dict[tuple[GateKind, float], tuple[np.ndarray, np.ndarray]] = {}
+    xx_gates: dict[tuple[int, int, tuple[float]], Gate] = {}
+    crk: dict[tuple[GateKind, int], tuple | None] = {}
 
-    def block(kind: GateKind, c: int, t: int) -> None:
-        pre_c, chi, post_c, post_t = _BLOCKS[kind]
+    def block(row: tuple, c: int, t: int) -> None:
+        pre_c, pre_t, params, post_c, post_t = row
         single(c, pre_c)
-        # block angles are fixed positive floats, so the key names one gate
-        key = (c, t, chi)
+        if pre_t is not None:
+            single(t, pre_t)
+        # row angles are positive floats, so the key names one gate
+        key = (c, t, params)
         xx = xx_gates.get(key)
         if xx is None:
-            xx = xx_gates[key] = XX(c, t, chi)
+            xx = xx_gates[key] = Gate(GateKind.XX, (c, t), params)
         native_xx(xx)
         single(c, post_c)
         single(t, post_t)
@@ -172,7 +185,7 @@ def _walk(single: Callable[[int, np.ndarray], None],
         if kind in _SINGLE_KINDS:
             source_single(g)
         elif kind in _BLOCKS:
-            block(kind, *g.wires)
+            block(_BLOCKS[kind], *g.wires)
         elif kind is GateKind.XX:
             (w0, w1), (chi,) = g.wires, g.params
             if chi < 0:
@@ -184,18 +197,14 @@ def _walk(single: Callable[[int, np.ndarray], None],
         elif kind in _EXPANSIONS:
             w = g.wires
             for sub, (i, j) in _EXPANSIONS[kind]:
-                block(sub, w[i], w[j])
+                block(_BLOCKS[sub], w[i], w[j])
         else:  # CRK or CRKINV
             key = (kind, g.params[0])
             if key not in crk:
-                crk[key] = _crk_phases(g)
-            neg, pos = crk[key]
-            c, t = g.wires
-            block(GateKind.CNOT, c, t)
-            single(t, neg)
-            block(GateKind.CNOT, c, t)
-            single(t, pos)
-            single(c, pos)
+                crk[key] = _crk_row(g)
+            row = crk[key]
+            if row is not None:
+                block(row, *g.wires)
 
     return lower
 

@@ -1,8 +1,8 @@
 """Pinned CLI output of ``estimate --n-range 2..3`` in every format.
 
-The digests were taken while the JSON form was still produced by parsing
-each report's ``to_json`` back and serialising the list again; the single
-dict form must reproduce them byte for byte.
+The digests were taken when CR_k became one XX block, so the counts they
+hold include the inverse QFT at one XX per CR_k; a change that keeps the
+lowering and the report formats must reproduce them byte for byte.
 """
 import hashlib
 
@@ -11,9 +11,9 @@ import pytest
 from ionshor.cli import main
 
 ESTIMATE_GOLDEN = {
-    "json": "6ebd781f2b4ea678dfb1a427cc818165fa9eef7cdb56560085136316ec78e0e6",
-    "csv": "14d1f74376634e9b9358c4c42db79ad39adab37323521b37e4a3d6fe38d04569",
-    "text": "c50a150504fe7be6e0880188d7aa6e1aefda3ed51d398b9c74aff186113c8b21",
+    "json": "c5c008d34106ec7881f07939898dd1e5f0d9c3521d53515b6163001a19a80096",
+    "csv": "95ab226fdcee0aeba6b964c85f5b59e199879fcca5d14893e1e5b602bb9ff22a",
+    "text": "fdab353163e9908e5934b8041a73fd58e78773c9206ca9a672e167d3d7b7cb23",
 }
 
 
@@ -31,4 +31,4 @@ def test_largest_bench_estimate_matches_pinned_output(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == \
-        "3be8a061b764fd90e11175e388b6e47d9a44bfa4bda4bb2dfd4074dbdc994423"
+        "b043483903cbbbee1d499008f1b0fb8a0c5159002fe873f46a6b98462475cf0f"

@@ -1,8 +1,8 @@
 """Pinned outputs of the lowering, and one-pass versus stepwise equivalence.
 
-The digests were taken from the four-step pipeline that built an
-intermediate circuit per step; the one-pass ``transpile`` must reproduce
-them byte for byte.
+The digests were taken when CR_k became one XX block, after the one-pass
+``transpile`` had matched the stepwise pipeline and every CR_k unitary; a
+change that keeps the lowering must reproduce them byte for byte.
 """
 import hashlib
 import math
@@ -12,11 +12,13 @@ import pytest
 
 from ionshor import transpiler
 from ionshor.circuit import (
-    CNOT, CRK, CRK_INV, FREDKIN, SWAP, TOFFOLI, H, R, X, XX, Circuit, parse,
-    serialize,
+    CNOT, CRK, CRK_INV, FREDKIN, SWAP, TOFFOLI, H, R, X, XX, Circuit,
+    GateKind, parse, serialize,
 )
 from ionshor.simulator import circuit_unitary
-from ionshor.templates import TemplateParams, order_finding, qft, qft_inv
+from ionshor.templates import (
+    TemplateParams, modular_exponentiation, order_finding, qft, qft_inv,
+)
 from ionshor.transpiler import (
     lower_toffoli, lower_two_qubit, merge_singles, transpile,
 )
@@ -25,39 +27,57 @@ from conftest import random_circuit
 GOLDEN = [
     # (name, circuit factory, natives, sha256 of to_text(), sha256 of to_json())
     ("order_finding_N3", lambda: order_finding(TemplateParams(N=3, y=2, n=2, n_x=6)),
-     27159,
-     "ab829bb280474f89d660f827a59fe47de7f5118f44bcd5d78e39c036ed48af3d",
-     "f301229f8afc75e82169e00aff861d367c1bfe23e81b89a931db5d8fc84a35d2"),
+     27084,
+     "adcd28d55dd29ac582468aefb51a7acb434b85818aaa7562df7e78e17be8aba5",
+     "366a9a4ad599ff58615b7807b806bab62eec32285be21864287ca4dc25916fdf"),
     ("order_finding_N7", lambda: order_finding(TemplateParams(N=7, y=2, n=3, n_x=8)),
-     84974,
-     "8d48ab298772508bb237d785c9a32b75edbbd6c016845e879a9029f5e35b7bb3",
-     "f616f65099a59311f6c5be893b59bcd8eeec07728bc1066da7581b28ae72bb30"),
+     84834,
+     "a2924cfd9056f0d0a138d56c052ef732ceb65aba3307454bc63208e4501f16f7",
+     "d7d6051576cddcb3883f0599c4a426d92063277837922cddd6358b3461d97b1e"),
     ("order_finding_N15", lambda: order_finding(TemplateParams(N=15, y=2, n=4, n_x=10)),
-     192769,
-     "32e786ebf4c24f9a280d1a0d1565755a5b1b5eea139efa07d7283032de56a43a",
-     "059f5bcd1278431ccfe9b22d9972682180604f92e7d701326fc3ec57230890be"),
+     192544,
+     "08f1da84455ea294b79df39f02345e6df6b86134bea0ec0d645e18b7d6c628aa",
+     "344eaee796668e2b96c41f750601eb76606f5396267eaa98c995cccf09452ac5"),
     ("qft32", lambda: qft(range(32)),
-     5264,
-     "84ba2c02d544001ba9d76a5a5d9b6bdd9790035c9dff253a696b8fa9334a3f00",
-     "a3c36b81a292633556d476065eec19923eb7b1f5ebc9ddc98d39bb52fc29b5eb"),
+     2782,
+     "9e12e9a4c3b0d4f60fdc3f9f58216d04cbefb229674843790eb878074b4cc768",
+     "8def790365eec6ea05bbd82e0457a83e1bfd4f50b3a9f693b96ad69f92faf785"),
     ("qft_inv32", lambda: qft_inv(range(32)),
-     5232,
-     "04eea26e5bcb3f199a569cbc5fc44eee17ba446256e4e68a029878fdc20d89c2",
-     "554bb8d043947c95dae75e2b9c37891085c117c9d6a2414b598d55a27d8e0439"),
+     2752,
+     "f293dd7fb6a132af5cb06f7842b0f2bc0ea3f0f01b2afc6669caaa298833d665",
+     "1a1c81ca4cc4541284860345f404ea897128dcdf63a53ae71655c36993b0a11c"),
     # the QFT ops of the transpile benchmark, whose products repeat across wires
     ("qft128", lambda: qft(range(128)),
-     82496,
-     "59f1abcc9fa116581c4e4bf65ab5393ca557e33d229ad0d5532e47574aa5704f",
-     "e03518051678d561e7d603fca6de535f427f5766cebaab9bee5214f657325c6f"),
+     26366,
+     "5a12249be72500298d28304a8f4adf8a045f25285bbe2b8405a4c09b7334c3aa",
+     "78dd29c59bb88415b4191523e77a2d328fd592fb5eb495441a696283574574af"),
     ("qft_inv128", lambda: qft_inv(range(128)),
-     82368,
-     "db541fc599fe44365b583a0978b0ca248f915656a13a824c89138061e8f66e90",
-     "fd56b0946debac78c106b37a060c1d56d59bdbbc624ca5897064eff368e9a16a"),
+     26240,
+     "9cb08079dd013d95b8bbc7db5e0df877f6a2e5edc1d371c21385eaa79ec0822d",
+     "ad91e7aa452074eb50b866dc0dc9b7fd6afdc55e264e9b4a4acacf596aeb6ff0"),
 ]
 
 
 def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_modular_exponentiation_lowering_is_unchanged_by_the_crk_rows():
+    # no CR_k here: pinned before CR_k was lowered to one XX
+    program = transpile(modular_exponentiation(TemplateParams(N=3, y=2, n=2, n_x=6)))
+    assert len(program) == 26964
+    assert _sha256(program.to_text()) == \
+        "4f6e508224e1d320f78bcc69a2523ceec53b8bf36509c387c45a5b66320471c1"
+    assert _sha256(program.to_json()) == \
+        "6375d89f98a9a8878acfe34b6e941dc7f6e15e3db5774dd8ae1165a7a154fb46"
+
+
+@pytest.mark.parametrize("n", [*range(2, 10), 128])
+def test_qft_emits_one_xx_per_crk_and_three_per_swap(n):
+    # n(n-1)/2 CR_k and floor(n/2) SWAPs
+    program = transpile(qft(range(n)))
+    xx = sum(g.kind is GateKind.XX for g in program.gates)
+    assert xx == n * (n - 1) // 2 + 3 * (n // 2)
 
 
 @pytest.mark.parametrize("name,make,natives,text_digest,json_digest", GOLDEN,

@@ -7,10 +7,10 @@ import pytest
 
 from ionshor.circuit import (
     CNOT, CRK, CRK_INV, CV, CV_INV, FREDKIN, H, R, SWAP, TOFFOLI, U1, X, XX,
-    Circuit, GateKind, RegisterLayout, gate_matrix,
+    Circuit, GateKind, RegisterLayout, crk_angle, gate_matrix,
 )
 from ionshor.simulator import circuit_unitary
-from ionshor.templates import adder, carry_gate, sum_gate
+from ionshor.templates import adder, carry_gate, qft, qft_inv, sum_gate
 from ionshor.transpiler import (
     NativeProgram, UnitaryParams, decompose_unitary, lower_toffoli,
     lower_two_qubit, merge_singles, reconstruct, transpile,
@@ -170,6 +170,36 @@ def test_crk_beyond_float_exponent_transpiles_to_its_unitary(k):
         assert_program_equals(c, transpile(c), tol=1e-10)
 
 
+@pytest.mark.parametrize("k", [*range(1, 9), 1024])
+@pytest.mark.parametrize("make", [CRK, CRK_INV], ids=["crk", "crkinv"])
+@pytest.mark.parametrize("wires", [(0, 1), (1, 0)], ids=["01", "10"])
+def test_crk_is_one_xx(rng, k, make, wires):
+    gate = make(*wires, k)
+    c = Circuit(2, [U1(0, haar_unitary(rng)), U1(1, haar_unitary(rng)), gate,
+                    U1(0, haar_unitary(rng)), U1(1, haar_unitary(rng))])
+    program = transpile(c)
+    xx = [g for g in program.gates if g.kind is GateKind.XX]
+    assert len(xx) == 1
+    assert xx[0].params == (abs(crk_angle(gate)) / 4,)
+    assert_program_equals(c, program, tol=1e-10)
+
+
+@pytest.mark.parametrize("make", [CRK, CRK_INV], ids=["crk", "crkinv"])
+def test_crk_with_underflowed_angle_lowers_to_nothing(make):
+    # 2 pi / 2^k is exactly 0.0 here, so the gate is the identity
+    assert crk_angle(make(0, 1, 10**20)) == 0
+    assert transpile(Circuit(2, [make(0, 1, 10**20)])).gates == ()
+    assert lower_two_qubit(Circuit(2, [make(0, 1, 10**20)])).gates == ()
+    # k = 1024 is subnormal but not 0; test_crk_is_one_xx keeps its XX
+    assert crk_angle(make(0, 1, 1024)) != 0
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_qft_transpiles_to_its_unitary(n):
+    for c in (qft(range(n)), qft_inv(range(n))):
+        assert_program_equals(c, transpile(c), tol=1e-10)
+
+
 def test_swap_lowering():
     lowered = lower_two_qubit(Circuit(2, [SWAP(0, 1)]))
     assert np.abs(oracle_unitary(lowered)
@@ -192,7 +222,17 @@ def test_all_xx_angles_positive(rng):
         c = random_circuit(rng, 4, 12)
         program = transpile(c)
         chis = {g.params[0] for g in program.gates if g.kind is GateKind.XX}
-        assert chis <= {math.pi / 4, math.pi / 8}
+        kinds = {g.kind for g in c.gates}
+        expected = {abs(crk_angle(g)) / 4 for g in c.gates
+                    if g.kind in (GateKind.CRK, GateKind.CRKINV)}
+        if kinds & {GateKind.CNOT, GateKind.SWAP, GateKind.TOFFOLI,
+                    GateKind.FREDKIN}:
+            expected.add(math.pi / 4)
+        if kinds & {GateKind.CV, GateKind.CVINV, GateKind.TOFFOLI,
+                    GateKind.FREDKIN}:
+            expected.add(math.pi / 8)
+        assert chis == expected
+        assert min(chis, default=1.0) > 0
 
 
 # --- pass 4: merging single-qubit runs ---
