@@ -133,6 +133,23 @@ class Gate:
             check(name, params)
 
 
+_new_object = object.__new__
+_set_kind, _set_wires, _set_params = (
+    Gate.kind.__set__, Gate.wires.__set__, Gate.params.__set__)
+
+
+def _trusted_gate(kind: GateKind, wires: tuple[int, ...],
+                  params: tuple[float, ...]) -> Gate:
+    """A Gate built without ``__post_init__``'s checks, for the R and XX
+    gates the lowering makes from int wires and finite params it computed
+    itself; every other caller goes through ``Gate(...)``."""
+    gate = _new_object(Gate)
+    _set_kind(gate, kind)
+    _set_wires(gate, wires)
+    _set_params(gate, params)
+    return gate
+
+
 def _index_wires(wires) -> tuple[int, ...]:
     """The wires as a tuple of ``operator.index`` values: no float passes."""
     try:

@@ -3,14 +3,17 @@
 The dense engine applies each gate by stride iteration over the amplitude
 tensor (no full 2^n x 2^n matrices are ever formed).  The reversible engine
 is bit-sliced: each wire is a Python int whose bit i is that wire's bit for
-input i, and the circuit's own Gate objects are applied one by one as one or
-two big-int operations on whole planes; a single basis index is one lane.
-The structured order-finding evaluator checks the modular exponentiation
-exactly, one exponent stage at a time: it runs each stage's gates through
-that engine on the stage's 2N inputs (control bit and z < N), never on the
-2^n_x exponents.  It then takes the inverse DFT in closed form: y^x mod N
-has a period r, so the outcome probabilities are two Fejer kernels evaluated
-in one O(2^n_x) pass, and the full-width dense state is never needed.
+lane i, and the circuit's own Gate objects are applied one by one as one or
+two big-int operations on whole planes, or up to four where a mask limits
+them to some lanes; a single basis index is one lane.  The structured
+order-finding evaluator checks the modular exponentiation exactly,
+exponent stage by exponent stage, but runs the stages in lockstep: stage
+i's 2N inputs (control bit and z < N) are one block of lanes of shared
+planes, so a block of gates every stage repeats, such as ADDER_MOD, is one
+pass over all of them.  It never runs the 2^n_x exponents.  It then takes
+the inverse DFT in closed form: y^x mod N has a period r, so the outcome
+probabilities are two Fejer kernels evaluated on half the outcomes, and
+the full-width dense state is never needed.
 
 Basis convention: amplitude index i has bit j equal to the value of wire j.
 """
@@ -18,6 +21,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass
+from itertools import islice, zip_longest
 from types import MappingProxyType
 
 import numpy as np
@@ -38,6 +42,9 @@ DENSE_QUBIT_CAP = 14
 NX_CAP = 20
 # Order finding checks each exponent stage on 2N inputs.
 N_CAP = 1 << 16
+# Lanes of one lockstep run of exponent stages: a group of stages holds
+# max(1, _LOCKSTEP_LANES // 2N) of them.
+_LOCKSTEP_LANES = 1 << 14
 _BATCH_WIRE_CAP = 64  # basis indices in and out of the batch engine are uint64
 NORM_TOL = 1e-9
 _PROB_FLOOR = 1e-14  # distributions drop dust below this; lost mass < NORM_TOL
@@ -112,31 +119,51 @@ def circuit_unitary(circuit: Circuit, cap: int = DENSE_QUBIT_CAP) -> np.ndarray:
     return t.reshape(dim, dim)
 
 
-def _check_classical(gates, width: int, stage: int | None = None,
-                     control: int = 0, n_x: int = 0) -> None:
+def _check_classical(blocks, width: int, stage: int | None = None,
+                     control: int = 0, n_x: int = 0,
+                     wire_sets: dict | None = None) -> None:
     """Reject gates the reversible engine may not run, before any of them
-    runs: every gate must be classical and act below ``width``, and the
+    runs.  ``blocks`` holds the gates in order as a sequence of gate
+    sequences.  Every gate must be classical and act below ``width``, and the
     gates of exponent stage ``stage`` must touch no x wire (the first
     ``n_x``) but its ``control``.
+
+    ``wire_sets`` maps the id of each block read to the set of its wires, or
+    to None if it holds a gate that is not classical.  The stages of one
+    circuit pass one dict, so a block they share is read once.
     """
     allowed = {control, *range(n_x, width)}.intersection(range(width))
-    # Each distinct object once, in order of first occurrence: the stages
-    # repeat one shared ADDER_MOD tuple.
-    for gate in dict(zip(map(id, gates), gates)).values():
-        if gate.kind in CLASSICAL_KINDS and allowed.issuperset(gate.wires):
+    if wire_sets is None:
+        wire_sets = {}
+    offset = 0
+    for block in blocks:
+        key = id(block)
+        if key not in wire_sets:
+            # Each distinct object once: ADDER_MOD repeats one adder's gates.
+            distinct = dict(zip(map(id, block), block)).values()
+            wire_sets[key] = (
+                frozenset([w for gate in distinct for w in gate.wires])
+                if CLASSICAL_KINDS.issuperset({gate.kind for gate in distinct})
+                else None)
+        wires = wire_sets[key]
+        if wires is not None and allowed.issuperset(wires):
+            offset += len(block)
             continue
-        pos = gates.index(gate)  # the first equal gate fails first
-        if gate.kind not in CLASSICAL_KINDS:
-            raise ValueError(
-                f"gate {pos} is {gate.kind.value}, which is not classical-"
-                "reversible; the reversible engine handles only "
-                "{X, CNOT, Toffoli, SWAP, Fredkin}")
-        # a circuit's own gates lie below its width, so only a stage gets here
-        bad = next(w for w in gate.wires if w not in allowed)
-        raise ValueError(
-            f"gate {pos} of exponent stage {stage} ({gate.kind.value} on "
-            f"wires {gate.wires}) touches wire {bad}; the stage may act "
-            f"only on x wire {control} and wires {n_x} to {width - 1}")
+        for pos, gate in enumerate(block, offset):  # the first bad gate fails
+            if gate.kind not in CLASSICAL_KINDS:
+                raise ValueError(
+                    f"gate {pos} is {gate.kind.value}, which is not classical-"
+                    "reversible; the reversible engine handles only "
+                    "{X, CNOT, Toffoli, SWAP, Fredkin}")
+            # a circuit's own gates lie below its width, so only a stage
+            # gets here
+            bad = [w for w in gate.wires if w not in allowed]
+            if bad:
+                raise ValueError(
+                    f"gate {pos} of exponent stage {stage} ({gate.kind.value} "
+                    f"on wires {gate.wires}) touches wire {bad[0]}; the stage "
+                    f"may act only on x wire {control} and wires {n_x} to "
+                    f"{width - 1}")
 
 
 def simulate_reversible(circuit: Circuit, basis_in: int) -> int:
@@ -144,18 +171,20 @@ def simulate_reversible(circuit: Circuit, basis_in: int) -> int:
     if not 0 <= basis_in < (1 << circuit.width):
         raise ValueError(f"basis index {basis_in} out of range "
                          f"for width {circuit.width}")
-    _check_classical(circuit.gates, circuit.width)
+    _check_classical((circuit.gates,), circuit.width)
     planes = [basis_in >> w & 1 for w in range(circuit.width)]
     _run(circuit.gates, planes, 1)
     return sum(bit << w for w, bit in enumerate(planes))
 
 
-def _run(gates, planes: list[int], mask: int) -> None:
+def _run(gates, planes: list[int], mask: int, partial: bool = False) -> None:
     """Apply classical gates in place to a list of int bit planes.
 
-    Plane w holds wire w's bit for input i as its bit i; ``mask`` has a one
-    for every input, so X flips no bit past the last one.  Each gate is one
-    or two big-int operations on whole planes.  The gates must have passed
+    Plane w holds wire w's bit for lane i as its bit i.  ``mask`` has a one
+    for every lane, so X flips no bit past the last one, and each gate is
+    one or two big-int operations on whole planes.  With ``partial``, the
+    mask leaves lanes out, and every gate changes only the lanes set in it,
+    with up to four operations.  The gates must have passed
     ``_check_classical``.
     """
     # Local names: enum class attribute lookups are slow per gate.
@@ -164,18 +193,26 @@ def _run(gates, planes: list[int], mask: int) -> None:
         kind, w = gate.kind, gate.wires
         if kind is cnot:
             a, b = w
-            planes[b] ^= planes[a]
+            planes[b] ^= planes[a] & mask if partial else planes[a]
         elif kind is toffoli:
             a, b, c = w
-            planes[c] ^= planes[a] & planes[b]
+            t = planes[a] & planes[b]
+            planes[c] ^= t & mask if partial else t
         elif kind is swap:
             a, b = w
-            planes[a], planes[b] = planes[b], planes[a]
+            if partial:
+                t = (planes[a] ^ planes[b]) & mask
+                planes[a] ^= t
+                planes[b] ^= t
+            else:
+                planes[a], planes[b] = planes[b], planes[a]
         elif kind is x:
             planes[w[0]] ^= mask
         else:  # FREDKIN
             a, b, c = w
             t = (planes[b] ^ planes[c]) & planes[a]
+            if partial:
+                t &= mask
             planes[b] ^= t
             planes[c] ^= t
 
@@ -213,7 +250,7 @@ def simulate_reversible_batch(circuit: Circuit, basis_in) -> np.ndarray:
     if width > _BATCH_WIRE_CAP:
         raise ValueError(f"circuit width {width} exceeds the batch "
                          f"engine's {_BATCH_WIRE_CAP}-wire limit")
-    _check_classical(circuit.gates, width)
+    _check_classical((circuit.gates,), width)
     idx = np.asarray(basis_in)
     if idx.size and not np.issubdtype(idx.dtype, np.integer):
         raise ValueError(f"basis indices must be integers below 2**64, "
@@ -363,11 +400,18 @@ def _period_probs(r: int, M: int) -> np.ndarray:
     The inputs sharing a value are x = j + s*r, so each such class of c
     members contributes |(1/M) sum_s exp(-2 pi i k s r / M)|**2 = F_c / M**2,
     the Fejer kernel of m = k*r mod M.  M mod r classes have q + 1 members
-    and the rest q, with q = M // r.
+    and the rest q, with q = M // r.  Both kernels depend on m only through
+    min(m, M - m), as ``_sin_squared`` does, so they are evaluated on
+    0..M/2 alone and gathered.
     """
     q, e = divmod(M, r)
-    m = np.arange(M, dtype=np.int64) * r % M
-    return ((r - e) * _fejer(q, m, M) + e * _fejer(q + 1, m, M)) / float(M) ** 2
+    u = np.arange(M // 2 + 1, dtype=np.int64)
+    half = ((r - e) * _fejer(q, u, M) + e * _fejer(q + 1, u, M)) / float(M) ** 2
+    m = np.arange(M, dtype=np.int64)
+    m *= r
+    m %= M
+    np.minimum(m, M - m, out=m)
+    return half[m]
 
 
 def _sin_squared(n: np.ndarray, M: int) -> np.ndarray:
@@ -389,23 +433,32 @@ def _fejer(c: int, m: np.ndarray, M: int) -> np.ndarray:
 def order_finding_distribution(N: int, y: int, n_x: int) -> Distribution:
     """Exact measurement distribution of the order-finding exponent register.
 
-    Checks the actual modular-exponentiation circuit one exponent stage at a
-    time: stage i runs through the reversible engine on its 2N inputs and
-    must multiply z by y^(2^i) mod N under x wire i and restore every other
-    register, so the circuit maps x to y^x mod N.  The inverse DFT is then
-    taken in closed form from the period of y^x mod N, the order of y (see
-    ``_period_probs``), which sidesteps the full-width dense state.
+    Checks the actual modular-exponentiation circuit stage by stage: stage i
+    must multiply z by y^(2^i) mod N under x wire i on each of its 2N inputs
+    and restore every other register, so the circuit maps x to y^x mod N.
+    Every stage's gates are checked before any of them runs.  The stages
+    then run in lockstep groups of max(1, _LOCKSTEP_LANES // 2N), one block
+    of 2N lanes per stage (see ``_check_stages``); a mismatch names the
+    lowest stage that disagrees.  The inverse DFT is taken in closed form
+    from the period of y^x mod N, the order of y (see ``_period_probs``),
+    which sidesteps the full-width dense state.
 
-    The check holds a few 2N-bit int planes per wire and a few N-element
-    arrays: 0.2 MiB at N = 511 and 2.8 MiB at N = 65521 (n_x = 20, by
-    tracemalloc), and its time grows with N, so N is capped at N_CAP = 2**16.
-    The result grows with M = 2**n_x: the closed form takes about 56 bytes
+    The lane budget of 2**14 is this check's limit: its planes hold at most
+    max(2**14, 2N) bits each and a group's reference arrays as many values,
+    and every stage's gates are held until the last group has run, so the
+    check peaks at 1.4 MiB at N = 511 and 5.5 MiB at N = 65521 (n_x = 20,
+    by tracemalloc).  N above 4096 leaves one stage per group, and the
+    check's time then grows with N, so N is capped at N_CAP = 2**16.  Best
+    of 5 to 15 on a 2-core host, the whole call takes 8 ms at (77, 2, 16),
+    23 ms at (221, 3, 18), 0.13 s at (4093, 2, 20) and 0.29 s at (16381, 2,
+    20).
+    The result grows with M = 2**n_x: the closed form takes about 28 bytes
     per outcome while it runs and the result keeps 16 per outcome with
-    support (peak RSS 87 MB at n_x = 20, with 4 outcomes or all M; nothing
-    is kept between calls, so ten bases in turn peak at 87 MB too).  Writing
-    all M outcomes out as CSV or JSON adds about 96 or 107 bytes each, so
-    ``simulate --N 221 --y 3 --nx 20`` peaks at 188 or 199 MB; NX_CAP = 20
-    bounds this output.  Both caps are checked before anything is built.
+    support (peak RSS 60 MB at n_x = 20, with 4 outcomes or all M; nothing
+    is kept between calls, so ten bases in turn peak at 64 MB).  Writing all
+    M outcomes out as CSV or JSON costs more, so ``simulate --N 221 --y 3
+    --nx 20`` peaks at 188 or 200 MB; NX_CAP = 20 bounds this output.  Both
+    caps are checked before anything is built.
     """
     if N < 2:
         raise ValueError(f"modulus N must be >= 2, got {N}")
@@ -422,45 +475,72 @@ def order_finding_distribution(N: int, y: int, n_x: int) -> Distribution:
                          "outcomes)")
     y %= N
     layout = RegisterLayout(n_x, N.bit_length())
-    multipliers = [mod_pow(y, 1 << i, N) for i in range(n_x)]
-    # Lane l < 2N holds the stage input (c, z) = (l >= N, l mod N): each z
-    # plane repeats its N-lane plane of 0..N-1 above bit N.
-    z = np.arange(N)
-    low = (1 << N) - 1
-    mask = low << N | low
-    z_planes = _pack(z, layout.n)
-    state = [0] * layout.width
-    for w, plane in zip(layout.z, z_planes):
-        state[w] = plane << N | plane
-    for j, w in enumerate(layout.N):
-        state[w] = mask if N >> j & 1 else 0
-
+    stages = list(islice(templates._exponent_stages(layout, y, N), n_x + 1))
+    if len(stages) > n_x:
+        raise RuntimeError("the modular exponentiation circuit has more "
+                           f"than {n_x} exponent stages")
+    if len(stages) < n_x:
+        raise RuntimeError(f"the modular exponentiation circuit has {len(stages)} "
+                           f"exponent stages, not {n_x}")
+    wire_sets: dict = {}
+    for i, blocks in enumerate(stages):
+        _check_classical(blocks, layout.width, i, layout.x[i], n_x, wire_sets)
     # Stage i must multiply z by m_i**c mod N on every input, touch no x
     # wire but its control x_i, keep x_i and N and clear every ancilla.
     # Then, by induction over the stages, the circuit maps |x>|1> to
     # |x>|y**x mod N> with every other register restored.
-    stages = 0
-    for i, gates in enumerate(templates._exponent_stages(layout, y, N)):
-        if i == n_x:
-            raise RuntimeError("the modular exponentiation circuit has more "
-                               f"than {n_x} exponent stages")
-        control, m = layout.x[i], multipliers[i]
-        _check_classical(gates, layout.width, i, control, n_x)
-        planes = state.copy()
-        planes[control] = low << N
-        expected = planes.copy()
-        for w, plane, product in zip(layout.z, z_planes, _pack(z * m % N, layout.n)):
-            expected[w] = product << N | plane
-        _run(gates, planes, mask)
-        if planes != expected:
-            raise RuntimeError(f"exponent stage {i} of the modular exponentiation "
-                               "circuit disagrees with the classical reference")
-        stages += 1
-    if stages != n_x:
-        raise RuntimeError(f"the modular exponentiation circuit has {stages} "
-                           f"exponent stages, not {n_x}")
+    multipliers = [mod_pow(y, 1 << i, N) for i in range(n_x)]
+    size = max(1, _LOCKSTEP_LANES // (2 * N))
+    for first in range(0, n_x, size):
+        _check_stages(layout, N, first, stages[first:first + size],
+                      multipliers[first:first + size])
 
     # The values y**x mod N repeat with the order of y, and are distinct
     # below M when that order is M or more.
     M = 1 << n_x
     return Distribution.from_dense(_period_probs(_order(y, N, M), M))
+
+
+def _check_stages(layout: RegisterLayout, N: int, first: int, stages: list,
+                  multipliers: list[int]) -> None:
+    """Run exponent stages first, first + 1, ... in lockstep and compare
+    each with the classical reference.
+
+    Lane block j, lanes 2N*j to 2N*j + 2N - 1, holds the 2N inputs of stage
+    first + j: lane 2N*j + l holds (c, z) = (l >= N, l mod N).  A block of
+    gates that is one object in every stage runs once on all lanes; any
+    other runs on its own stage's lane block alone.  Every gate acts on each
+    lane alone, so this computes lane for lane what running the stages one
+    by one would.
+    """
+    lanes, count = 2 * N, len(stages)
+    mask = (1 << lanes * count) - 1
+    lane_masks = [((1 << lanes) - 1) << lanes * j for j in range(count)]
+    z = np.arange(N)
+    planes = [0] * layout.width
+    for w, plane in zip(layout.z, _pack(np.tile(z, 2 * count), layout.n)):
+        planes[w] = plane
+    for j, w in enumerate(layout.N):
+        planes[w] = mask if N >> j & 1 else 0
+    for j in range(count):
+        planes[layout.x[first + j]] = ((1 << N) - 1) << N << lanes * j
+    expected = planes.copy()
+    products = np.concatenate([part for m in multipliers for part in (z, z * m % N)])
+    for w, plane in zip(layout.z, _pack(products, layout.n)):
+        expected[w] = plane
+
+    for column in zip_longest(*stages):
+        block = column[0]
+        if all(other is block for other in column):
+            _run(block, planes, mask)
+        else:
+            for block, lane_mask in zip(column, lane_masks):
+                if block is not None:
+                    _run(block, planes, lane_mask, partial=True)
+    if planes != expected:
+        diff = 0
+        for got, want in zip(planes, expected):
+            diff |= got ^ want
+        stage = first + ((diff & -diff).bit_length() - 1) // lanes
+        raise RuntimeError(f"exponent stage {stage} of the modular exponentiation "
+                           "circuit disagrees with the classical reference")

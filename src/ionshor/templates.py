@@ -14,7 +14,7 @@ ancilla registers bit-exactly.
 """
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 
 from .circuit import (
@@ -58,7 +58,7 @@ class TemplateParams:
         object.__setattr__(self, "layout", RegisterLayout(self.n_x, n))
 
 
-def _inverted(gates: list[Gate]) -> list[Gate]:
+def _inverted(gates: Sequence[Gate]) -> Sequence[Gate]:
     """Inverse of an arithmetic block: its gates in reverse order.
 
     Arithmetic blocks hold only X, CNOT, SWAP and Toffoli, each its own
@@ -154,25 +154,23 @@ def adder_mod_inv(params: TemplateParams) -> Circuit:
     return adder_mod(params).inverse()
 
 
-def _ctrl_mult_mod_gates(layout: RegisterLayout, m: int, N: int, control: int,
-                         adder_mod: tuple[Gate, ...]) -> list[Gate]:
-    """Ctrl_MULT_MOD's gates, repeating the caller's ADDER_MOD block for
-    (layout, N) once per bit of z, so one block serves a whole build.  m must
-    be coprime to N: ctrl_mult_mod checks it, and _exponent_stages passes
-    powers of a coprime base and their inverses."""
+def _ctrl_mult_mod_blocks(layout: RegisterLayout, m: int, N: int, control: int,
+                          adder_mod: tuple[Gate, ...]) -> list[tuple[Gate, ...]]:
+    """Ctrl_MULT_MOD's gates as blocks: per bit of z a load block, the
+    caller's ADDER_MOD block for (layout, N) and the same load block again,
+    then one block copying z into b.  One ADDER_MOD block serves a whole
+    build.  m must be coprime to N: ctrl_mult_mod checks it, and
+    _exponent_stages passes powers of a coprime base and their inverses."""
     z, a, b, n = layout.z, layout.a, layout.b, layout.n
-    gates: list[Gate] = []
+    blocks: list[tuple[Gate, ...]] = []
     for i in range(n):
         const = (m << i) % N
-        load = [TOFFOLI(control, z[i], a[j]) for j in range(n) if (const >> j) & 1]
-        gates += load
-        gates += adder_mod
-        gates += load
+        load = tuple([TOFFOLI(control, z[i], a[j]) for j in range(n) if (const >> j) & 1])
+        blocks += (load, adder_mod, load)
     # Copy z into b when the control is 0 so both branches write b.
-    gates.append(X(control))
-    gates += [TOFFOLI(control, z[i], b[i]) for i in range(n)]
-    gates.append(X(control))
-    return gates
+    blocks.append((X(control), *[TOFFOLI(control, z[i], b[i]) for i in range(n)],
+                   X(control)))
+    return blocks
 
 
 def _cmm_control(params: TemplateParams, control: int | None) -> int:
@@ -198,8 +196,8 @@ def ctrl_mult_mod(params: TemplateParams, control: int | None = None) -> Circuit
         raise ValueError(f"multiplier {params.m} is not coprime to {params.N}: "
                          "the reversed template needs its modular inverse")
     adder_mod = _adder_mod_gates(params.layout, params.N)
-    gates = _ctrl_mult_mod_gates(params.layout, params.m, params.N, control, adder_mod)
-    return Circuit(params.layout.width, gates)
+    blocks = _ctrl_mult_mod_blocks(params.layout, params.m, params.N, control, adder_mod)
+    return Circuit(params.layout.width, [g for block in blocks for g in block])
 
 
 def ctrl_mult_mod_inv(params: TemplateParams, control: int | None = None) -> Circuit:
@@ -211,26 +209,33 @@ def ctrl_swap(control: int, t0: int, t1: int) -> Circuit:
     return _wrap([FREDKIN(control, t0, t1)], control, t0, t1)
 
 
-def _exponent_stages(layout: RegisterLayout, y: int, N: int) -> Iterator[list[Gate]]:
-    """The gates of each MODULAR_EXPONENTIATION stage, one list per exponent bit.
+def _exponent_stages(layout: RegisterLayout, y: int,
+                     N: int) -> Iterator[list[tuple[Gate, ...]]]:
+    """The gates of each MODULAR_EXPONENTIATION stage, one list of blocks per
+    exponent bit.
 
     Stage i is CMM(m_i), SWAP(z, b), then CMM(m_i^-1) reversed, all
     controlled by x_i, with m_i = y^(2^i) mod N.  It maps
     |x_i>|z>|0>|0>|0>|N>|0> to |x_i>|z*m_i^(x_i) mod N>|0>|0>|0>|N>|0>, so
-    the stages together map z = 1 to y^x mod N.  The ADDER_MOD block and the
-    SWAP row are built once per call and shared by every stage.
+    the stages together map z = 1 to y^x mod N.  The ADDER_MOD block, its
+    reversal and the SWAP row are each one tuple, built once per call and
+    shared by every stage; each stage's load and copy blocks are its own.
     """
     z, b, n = layout.z, layout.b, layout.n
     adder_mod = _adder_mod_gates(layout, N)
-    swap_zb = [SWAP(z[j], b[j]) for j in range(n)]
+    undo_adder_mod = _inverted(adder_mod)
+    swap_zb = tuple([SWAP(z[j], b[j]) for j in range(n)])
     for control, m_i in zip(layout.x, precompute_multipliers(y, N, layout.n_x)):
         inv_m = modular_multiplicative_inverse(m_i, N)
-        yield (_ctrl_mult_mod_gates(layout, m_i, N, control, adder_mod) + swap_zb
-               + _inverted(_ctrl_mult_mod_gates(layout, inv_m, N, control, adder_mod)))
+        unmultiply = _ctrl_mult_mod_blocks(layout, inv_m, N, control, adder_mod)
+        yield (_ctrl_mult_mod_blocks(layout, m_i, N, control, adder_mod) + [swap_zb]
+               + [undo_adder_mod if block is adder_mod else _inverted(block)
+                  for block in reversed(unmultiply)])
 
 
 def _modular_exponentiation_gates(layout: RegisterLayout, y: int, N: int) -> list[Gate]:
-    return [gate for gates in _exponent_stages(layout, y, N) for gate in gates]
+    return [gate for blocks in _exponent_stages(layout, y, N)
+            for block in blocks for gate in block]
 
 
 def modular_exponentiation(params: TemplateParams) -> Circuit:

@@ -51,8 +51,8 @@ from typing import Callable
 import numpy as np
 
 from .circuit import (
-    UNITARY_TOL, U1, R, XX, Circuit, Gate, GateKind, crk_angle, gate_matrix,
-    unitary_deviation,
+    UNITARY_TOL, U1, R, XX, Circuit, Gate, GateKind, _trusted_gate, crk_angle,
+    gate_matrix, unitary_deviation,
 )
 
 __all__ = [
@@ -175,7 +175,7 @@ def _walk(single: Callable[[int, np.ndarray], None],
         key = (c, t, params)
         xx = xx_gates.get(key)
         if xx is None:
-            xx = xx_gates[key] = Gate(GateKind.XX, (c, t), params)
+            xx = xx_gates[key] = _trusted_gate(GateKind.XX, (c, t), params)
         native_xx(xx)
         single(c, post_c)
         single(t, post_t)
@@ -448,7 +448,8 @@ class _Merger:
             rotations, phase = self.rotations(product)
             # one params tuple per product, shared by every wire it lands on
             hit = self.flushed[key] = (
-                tuple([Gate(GateKind.R, (wire,), pair) for pair in rotations]),
+                tuple([_trusted_gate(GateKind.R, (wire,), pair)
+                       for pair in rotations]),
                 phase)
         self.out += hit[0]
         self.phases.append(hit[1])

@@ -6,7 +6,7 @@ import pytest
 from ionshor.circuit import (
     CNOT, CRK, CRK_INV, CV, CV_INV, FREDKIN, H, R, SWAP, TOFFOLI, U1, X, XX,
     Circuit, Gate, GateKind, ParseError, RegisterLayout,
-    gate_adjoint, gate_matrix, inverse, parse, serialize,
+    _trusted_gate, gate_adjoint, gate_matrix, inverse, parse, serialize,
 )
 from ionshor.simulator import simulate_reversible, simulate_reversible_batch
 from ionshor.transpiler import transpile
@@ -116,6 +116,25 @@ def test_non_finite_params_rejected_by_factories():
         U1(0, [[NAN, 0], [0, 1]])
     with pytest.raises(ValueError, match="CRK order k"):
         CRK(0, 1, INF)
+
+
+def test_lowering_gates_equal_and_hash_like_checked_gates():
+    # the lowering builds its R and XX gates without Gate's checks; each
+    # must be the gate Gate(...) builds from the same fields
+    made = _trusted_gate(GateKind.R, (3,), (0.5, -1.25))
+    assert made == R(3, 0.5, -1.25) and hash(made) == hash(R(3, 0.5, -1.25))
+    program = transpile(Circuit(3, [TOFFOLI(0, 1, 2), CRK(0, 2, 3), H(1)]))
+    assert {g.kind for g in program.gates} == {GateKind.R, GateKind.XX}
+    for g in program.gates:
+        checked = Gate(g.kind, g.wires, g.params)
+        assert g == checked and hash(g) == hash(checked)
+    # the public constructor, the factories and parse keep every check
+    with pytest.raises(ValueError, match="R params must be finite"):
+        R(0, NAN, 0)
+    with pytest.raises(ValueError, match="R params must be finite"):
+        Gate(GateKind.R, (0,), (NAN, 0.0))
+    with pytest.raises(ValueError, match="XX params must be finite"):
+        parse("qubits 2\nXX 0 1 inf\n")
 
 
 def test_every_gate_matrix_is_unitary(rng):

@@ -10,6 +10,10 @@ not divide M, were re-taken when the per-residue FFT gave way to the closed
 Fejer-kernel form: the FFT's last-bit error had flipped the 12th significant
 digit of a few rows (P(1753) of (21, 5) printed ...523 and is 1.2490553452350e-7),
 and the closed form prints each of them correctly rounded.
+
+The full-size pins of (221, 3), (77, 73) and factor 77 and 99 were taken
+from the evaluator that ran the exponent stages one at a time; running
+them in lockstep groups must not change a byte.
 """
 import hashlib
 
@@ -34,6 +38,11 @@ SIMULATE_GOLDEN = [
      "4f28ffed93838e700741afeb956f7b929e089a898410f9b883ddb76ffaeea2f5"),
     (33, 2, ("--shots", "1000", "--seed", "5"),
      "566f328890036ff5b9128ce8db0f6fd804c3897bacdd8f368c8d549565435c08"),
+    # full size: 2**18 rows from 18 exponent stages, and 16 stages that
+    # fit one lockstep group at 2N = 154 lanes each
+    (221, 3, (), "66d5cd6df3d059fda7a62e99dbf712e98dc29696fbbb86f4cabefdd253bddbce"),
+    (77, 73, ("--format", "json"),
+     "dd32296a00c32ed8519bde8110222166d29ae051df23316dac7740d9cd5539db"),
 ]
 
 FACTOR_GOLDEN = [
@@ -41,6 +50,8 @@ FACTOR_GOLDEN = [
     (21, "31f0ccaafff7ab0775a9f93b0d57814001eafce151d632aceca0269d2f2b3426"),
     (33, "fdddc7c40d9e73db9cce28bd3379e0d8293c6b358b05e0f630ec042bd5309f21"),
     (91, "469464aa17cdcdb426dc5ac2bbc4e5c3b66d1b914b20564ba0bbf6c0d9e14266"),
+    (77, "736bfc7b39550614380b6ac6c80ea5feee9b23c2c50d7119e225b8d7218635d2"),
+    (99, "5a3806f4571ca1ee205c8adb08caa82804e1a01a9f8e43d83fa11091b6960f69"),
 ]
 
 

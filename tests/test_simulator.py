@@ -99,6 +99,22 @@ def test_batch_matches_single_input_engine(rng):
         assert list(map(int, batch)) == singles
 
 
+def test_engine_changes_only_the_lanes_in_its_mask(rng):
+    # every gate kind must leave the lanes outside the mask as they were
+    # and act on the lanes inside as an unmasked run does
+    lanes, full = 200, (1 << 200) - 1
+    for _ in range(20):
+        c = random_circuit(rng, 6, 40, classical_only=True)
+        assert {g.kind for g in c.gates} == simulator.CLASSICAL_KINDS
+        before = [int(rng.integers(1 << 62)) << 138 | int(rng.integers(1 << 62))
+                  for _ in range(c.width)]
+        mask = int(rng.integers(1 << 62)) << lanes - 62 | int(rng.integers(1 << 62))
+        masked, unmasked = before.copy(), before.copy()
+        simulator._run(c.gates, masked, mask, partial=True)
+        simulator._run(c.gates, unmasked, full)
+        assert masked == [u & mask | b & ~mask for u, b in zip(unmasked, before)]
+
+
 def test_batch_accepts_64_wires():
     c = Circuit(64, [X(63), CNOT(63, 2)])
     assert list(map(int, simulate_reversible_batch(c, [0]))) == [(1 << 63) | 4]
@@ -200,16 +216,17 @@ EXPONENT_STAGES = simulator.templates._exponent_stages
 
 def _add_fault(monkeypatch, at_stage: int, make_gate) -> list:
     """Patch the stage generator so that exponent stage ``at_stage`` ends with
-    ``make_gate(layout, control)``.  Returns a list that receives the
-    position of each such gate in its stage, and the gate itself."""
+    an extra block holding ``make_gate(layout, control)``.  Returns a list
+    that receives the position of each such gate in its flattened stage, and
+    the gate itself."""
     added = []
 
     def faulty(layout, y, N):
-        for i, gates in enumerate(EXPONENT_STAGES(layout, y, N)):
+        for i, blocks in enumerate(EXPONENT_STAGES(layout, y, N)):
             if i == at_stage:
-                added.append((len(gates), make_gate(layout, layout.x[i])))
-                gates = gates + [added[-1][1]]
-            yield gates
+                added.append((sum(map(len, blocks)), make_gate(layout, layout.x[i])))
+                blocks = blocks + [(added[-1][1],)]
+            yield blocks
 
     monkeypatch.setattr(simulator.templates, "_exponent_stages", faulty)
     return added
@@ -243,12 +260,13 @@ def test_order_finding_distribution_names_first_copy_of_a_repeated_fault(
     added = []
 
     def faulty(layout, y, N):
-        for i, gates in enumerate(EXPONENT_STAGES(layout, y, N)):
+        for i, blocks in enumerate(EXPONENT_STAGES(layout, y, N)):
             if i == 4:
-                bad, middle = H(layout.x[i]), len(gates) // 2
-                gates = gates[:middle] + [bad] + gates[middle:] + [bad]
-                added.extend([(middle, bad), (len(gates) - 1, bad)])
-            yield gates
+                bad, middle = H(layout.x[i]), len(blocks) // 2
+                blocks = blocks[:middle] + [(bad,)] + blocks[middle:] + [(bad,)]
+                added.extend([(sum(map(len, blocks[:middle])), bad),
+                              (sum(map(len, blocks)) - 1, bad)])
+            yield blocks
 
     monkeypatch.setattr(simulator.templates, "_exponent_stages", faulty)
     _run_refusing(monkeypatch, added)
@@ -316,6 +334,43 @@ def test_order_finding_distribution_checks_the_last_lane(monkeypatch):
         order_finding_distribution(33, 32, 14)
 
 
+# 2N = 22 lanes per stage of (11, 2, 7): budgets for groups of 1, 2, 3 and
+# all 7 stages; a budget below 2N still runs one stage at a time
+LOCKSTEP_BUDGETS = [1, 22, 44, 66 + 21, simulator._LOCKSTEP_LANES]
+
+
+def test_lockstep_group_size_does_not_change_the_distribution(monkeypatch):
+    expected = order_finding_distribution(11, 2, 7)
+    for lanes in LOCKSTEP_BUDGETS:
+        monkeypatch.setattr(simulator, "_LOCKSTEP_LANES", lanes)
+        assert order_finding_distribution(11, 2, 7) == expected
+
+
+@pytest.mark.parametrize("stages", [(0,), (3,), (4,), (5,), (6,), (5, 1), (6, 4)])
+@pytest.mark.parametrize("fault", ["ancilla", "z", "N", "swap"])
+def test_lockstep_group_size_does_not_change_the_faulty_stage_named(
+        monkeypatch, stages, fault):
+    # with groups of 3 the stages run as (0, 1, 2), (3, 4, 5), (6,): stages
+    # 3, 4 and 5 are the first, a middle and the last of a group, and a
+    # fault in two stages is named at the lower one
+    def fault_gate(layout, control):
+        return {"ancilla": CNOT(control, layout.b[-1]),
+                "z": CNOT(control, layout.z[0]),
+                "N": CNOT(control, layout.N[1]),
+                "swap": SWAP(layout.z[0], layout.t)}[fault]
+
+    def faulty(layout, y, N):
+        for i, blocks in enumerate(EXPONENT_STAGES(layout, y, N)):
+            yield blocks + [(fault_gate(layout, layout.x[i]),)] if i in stages else blocks
+
+    monkeypatch.setattr(simulator.templates, "_exponent_stages", faulty)
+    for lanes in LOCKSTEP_BUDGETS:
+        monkeypatch.setattr(simulator, "_LOCKSTEP_LANES", lanes)
+        with pytest.raises(RuntimeError, match="stage .* disagrees") as info:
+            order_finding_distribution(11, 2, 7)
+        assert str(info.value).startswith(f"exponent stage {min(stages)} of")
+
+
 @pytest.mark.parametrize("change,message,error", [
     ("drop last", "has 6 exponent stages, not 7", RuntimeError),
     ("swap first two", "stage 0 .* touches wire 1;", ValueError),
@@ -345,6 +400,19 @@ def test_order_finding_distribution_rejects_misordered_stages(
 
     monkeypatch.setattr(simulator.templates, "_exponent_stages", changed)
     with pytest.raises(error, match=message):
+        order_finding_distribution(11, 2, 7)
+
+
+def test_order_finding_distribution_checks_a_repeated_block_per_stage(monkeypatch):
+    # a block is read once, but whether it may run is decided per stage:
+    # stage 2's blocks, right under x_2, must be refused again as stage 3
+    def repeated(layout, y, N):
+        out = list(EXPONENT_STAGES(layout, y, N))
+        out[3] = out[2]
+        return iter(out)
+
+    monkeypatch.setattr(simulator.templates, "_exponent_stages", repeated)
+    with pytest.raises(ValueError, match="stage 3 .* touches wire 2;"):
         order_finding_distribution(11, 2, 7)
 
 
@@ -444,6 +512,21 @@ def test_period_probs_match_grouped_fft(n_x, r):
     assert_matches_oracle(closed, np.arange(M) % r)
     if r == M:  # no value repeats: every outcome is equally likely
         assert np.array_equal(closed, np.full(M, 1 / M))
+
+
+def test_period_probs_half_class_form_is_bit_identical():
+    # both Fejer kernels evaluated at every m = k*r mod M, as they were
+    # before the half-class form, which evaluates them on 0..M/2 alone
+    def full(r, M):
+        q, e = divmod(M, r)
+        m = np.arange(M, dtype=np.int64) * r % M
+        return ((r - e) * simulator._fejer(q, m, M)
+                + e * simulator._fejer(q + 1, m, M)) / float(M) ** 2
+
+    for n_x in range(1, 15):
+        M = 1 << n_x
+        for r in range(1, 201):
+            assert np.array_equal(simulator._period_probs(r, M), full(r, M)), (r, M)
 
 
 @pytest.mark.parametrize("N,y,n_x", [

@@ -193,18 +193,48 @@ def test_exponent_stages_make_up_modular_exponentiation(N):
     # circuit's own gates, each built as CMM(m_i), SWAP(z, b), CMM(m_i^-1)^-1
     params = TemplateParams(N=N, y=2, n_x=4)
     layout = params.layout
-    stages = list(templates._exponent_stages(layout, 2, N))
+    blocks = list(templates._exponent_stages(layout, 2, N))
+    stages = [[g for block in stage for g in block] for stage in blocks]
     assert [g for gates in stages for g in gates] \
         == list(modular_exponentiation(params).gates)
     swaps = tuple(SWAP(z, b) for z, b in zip(layout.z, layout.b))
     assert len(stages) == 4
     for i, gates in enumerate(stages):
-        assert isinstance(gates, list) and all(isinstance(g, Gate) for g in gates)
+        assert isinstance(blocks[i], list) \
+            and all(isinstance(block, tuple) for block in blocks[i])
+        assert all(isinstance(g, Gate) for g in gates)
         control, m = layout.x[i], pow(2, 2 ** i, N)
         multiply = ctrl_mult_mod(TemplateParams(N=N, m=m, n_x=4), control)
         unmultiply = ctrl_mult_mod_inv(
             TemplateParams(N=N, m=pow(m, -1, N), n_x=4), control)
         assert tuple(gates) == multiply.gates + swaps + unmultiply.gates
+
+
+@pytest.mark.parametrize("N", [5, 15, 33])
+def test_exponent_stages_share_only_the_control_free_blocks(N):
+    # the evaluator runs a block that is one object in every stage once for
+    # all of them: that must hold for ADDER_MOD, its reversal and the
+    # SWAP(z, b) row, and for no block that names a stage's control
+    layout = RegisterLayout(5, N.bit_length())
+    stages = list(templates._exponent_stages(layout, 2, N))
+    adder_mod = templates._adder_mod_gates(layout, N)
+    n = layout.n
+    assert {len(stage) for stage in stages} == {6 * n + 3}
+    for pos, column in enumerate(zip(*stages)):
+        if pos == 3 * n + 1:
+            expected = tuple(SWAP(z, b) for z, b in zip(layout.z, layout.b))
+        elif pos % 3 == 1:
+            expected = adder_mod if pos < 3 * n else adder_mod[::-1]
+        else:  # a load block or a copy of z into b, under the control
+            expected = None
+        if expected is None:
+            assert len({id(block) for block in column}) == len(column)
+            for i, block in enumerate(column):
+                assert {w for g in block for w in g.wires} & set(layout.x) == {layout.x[i]}
+        else:
+            assert all(block is column[0] for block in column)
+            assert column[0] == expected
+            assert not set(layout.x) & {w for g in column[0] for w in g.wires}
 
 
 def test_modular_exponentiation_rejects_non_coprime_base():
