@@ -7,8 +7,8 @@ from .circuit import (
     gate_adjoint, gate_matrix, inverse, parse, serialize,
 )
 from .classical import (
-    BezoutSolution, diophantine_equation, gcd, is_perfect_power, mod_pow,
-    modular_multiplicative_inverse, order_candidates, precompute_multipliers,
+    gcd, is_perfect_power, mod_pow, modular_multiplicative_inverse,
+    order_candidates, precompute_multipliers,
 )
 from .templates import (
     TemplateParams, adder, adder_inv, adder_mod, adder_mod_inv, carry_gate,

@@ -15,7 +15,7 @@ import math
 import operator
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterator, Mapping
+from typing import Callable, Iterator, Mapping
 
 import numpy as np
 
@@ -421,21 +421,60 @@ def inverse(circuit: Circuit) -> Circuit:
     return Circuit(circuit.width, [gate_adjoint(g) for g in reversed(circuit.gates)])
 
 
-def _format_params(gate: Gate) -> list[str]:
-    if gate.kind in (GateKind.CRK, GateKind.CRKINV):
-        return [str(int(gate.params[0]))]
-    return [repr(p) for p in gate.params]
+def _render_once(gates: tuple[Gate, ...], render_params: Callable[[tuple], str],
+                 render: Callable[[Gate, str], str]) -> list[str]:
+    """``[render(g, render_params(g.params)) for g in gates]``, calling render
+    once per distinct gate object and render_params once per distinct params
+    object.
+
+    Templates and the lowering share one object among all copies of a
+    repeated gate, and one params tuple among the R gates of a product on
+    every wire.  ``gates`` holds every object for the whole call, so no id is
+    reused.  The caches are keyed by identity, never by value: 0.0 == -0.0,
+    but they print apart.
+    """
+    rendered: dict[int, str] = {}
+    rendered_params: dict[int, str] = {}
+    out = []
+    for g in gates:
+        text = rendered.get(id(g))
+        if text is None:
+            params = g.params
+            ptext = rendered_params.get(id(params))
+            if ptext is None:
+                ptext = rendered_params[id(params)] = render_params(params)
+            text = rendered[id(g)] = render(g, ptext)
+        out.append(text)
+    return out
+
+
+def _repr_params(params: tuple) -> str:
+    """Each param as a float or int ``repr``, which parse reads back exactly;
+    any other number (a numpy scalar, a bool) goes through ``float`` first."""
+    return "".join([f" {p!r}" if type(p) is float or type(p) is int
+                    else f" {float(p)!r}" for p in params])
+
+
+_INT_PARAM_KINDS = frozenset({GateKind.CRK, GateKind.CRKINV})
+
+
+def _text_line(g: Gate, params_text: str) -> str:
+    """One circuit-text line: kind, wires, then params_text, except that a
+    CR_k's k is always written as an int.  The override is made here, per
+    gate, since one params tuple may be shared with a gate of another kind."""
+    if g.kind in _INT_PARAM_KINDS and type(g.params[0]) is not int:
+        params_text = f" {int(g.params[0])}"
+    return " ".join([g.kind.value, *map(str, g.wires)]) + params_text
 
 
 def serialize(circuit: Circuit) -> str:
     """Circuit text: a ``qubits <width>`` header then one gate per line.
 
-    Float parameters use repr so that parse(serialize(c)) == c exactly.
+    Params are written so that parse(serialize(c)) == c exactly.  Each
+    distinct gate object is formatted once per call.
     """
-    lines = [f"qubits {circuit.width}"]
-    for g in circuit.gates:
-        tokens = [g.kind.value, *map(str, g.wires), *_format_params(g)]
-        lines.append(" ".join(tokens))
+    lines = [f"qubits {circuit.width}",
+             *_render_once(circuit.gates, _repr_params, _text_line)]
     return "\n".join(lines) + "\n"
 
 

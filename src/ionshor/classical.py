@@ -1,4 +1,4 @@
-"""Number-theoretic helpers: Euclid, Bezout, modular inverse, order recovery.
+"""Number-theoretic helpers: Euclid, modular inverse, order recovery, primality.
 
 All inputs are plain Python ints.  Register sizes keep the interesting range
 small (n <= ~16 bits), so no big-integer tuning is attempted.
@@ -6,11 +6,9 @@ small (n <= ~16 bits), so no big-integer tuning is attempted.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 __all__ = [
-    "BezoutSolution", "gcd", "diophantine_equation",
-    "modular_multiplicative_inverse", "mod_pow", "precompute_multipliers",
+    "gcd", "modular_multiplicative_inverse", "mod_pow", "precompute_multipliers",
     "order_candidates", "is_perfect_power", "is_prime",
 ]
 
@@ -20,15 +18,6 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _MR_LIMIT = 318_665_857_834_031_151_167_461
 
 
-@dataclass(frozen=True, slots=True)
-class BezoutSolution:
-    """Witness (x, y, g) with a*x + b*y = g = gcd(a, b)."""
-
-    x: int
-    y: int
-    g: int
-
-
 def gcd(a: int, b: int) -> int:
     """Greatest common divisor; (0, 0) is rejected."""
     if a < 0 or b < 0:
@@ -36,22 +25,6 @@ def gcd(a: int, b: int) -> int:
     if a == 0 and b == 0:
         raise ValueError("gcd(0, 0) is undefined")
     return math.gcd(a, b)
-
-
-def diophantine_equation(a: int, b: int) -> BezoutSolution:
-    """Solve a*x + b*y = gcd(a, b) by the extended Euclidean algorithm."""
-    if a < 0 or b < 0:
-        raise ValueError("diophantine_equation expects non-negative integers")
-    if a == 0 and b == 0:
-        raise ValueError("diophantine_equation(0, 0) is undefined")
-    x0, y0, r0 = 1, 0, a
-    x1, y1, r1 = 0, 1, b
-    while r1:
-        q = r0 // r1
-        x0, x1 = x1, x0 - q * x1
-        y0, y1 = y1, y0 - q * y1
-        r0, r1 = r1, r0 - q * r1
-    return BezoutSolution(x0, y0, r0)
 
 
 def modular_multiplicative_inverse(a: int, N: int) -> int:

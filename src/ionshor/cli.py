@@ -41,55 +41,56 @@ def _emit(text: str, path: str | None) -> None:
         fh.write(text)
 
 
-def _require(args, *names: str) -> None:
-    for name in names:
-        if getattr(args, name.replace("-", "_")) is None:
-            raise CliError(f"--{name} is required for this template")
+def _modulus(args) -> templates.TemplateParams:
+    return templates.TemplateParams(N=args.N, n=args.n)
+
+
+def _multiplier(args) -> templates.TemplateParams:
+    return templates.TemplateParams(N=args.N, n=args.n, m=args.m, n_x=1)
+
+
+def _exponent(args) -> templates.TemplateParams:
+    n_x = templates.default_n_x(args.N.bit_length(), args.nx)
+    return templates.TemplateParams(N=args.N, y=args.y, n=args.n, n_x=n_x)
+
+
+# Lower-case template name -> (the options it requires, checked in this
+# order; its library circuit from the parsed arguments).
+_TEMPLATES = {
+    "sum": ((), lambda a: templates.sum_gate(0, 1, 2)),
+    "carry": ((), lambda a: templates.carry_gate(0, 1, 2, 3)),
+    "carry_inv": ((), lambda a: templates.carry_inv(0, 1, 2, 3)),
+    "ctrl_swap": ((), lambda a: templates.ctrl_swap(0, 1, 2)),
+    "cr_k": (("k",), lambda a: templates.cr_k(0, 1, a.k)),
+    "cr_k_inv": (("k",), lambda a: templates.cr_k_inv(0, 1, a.k)),
+    "qft": (("n",), lambda a: templates.qft(range(a.n))),
+    "qft_inv": (("n",), lambda a: templates.qft_inv(range(a.n))),
+    "adder": (("n",), lambda a: templates.adder(RegisterLayout(0, a.n))),
+    "adder_inv": (("n",), lambda a: templates.adder_inv(RegisterLayout(0, a.n))),
+    "adder_mod": (("N",), lambda a: templates.adder_mod(_modulus(a))),
+    "adder_mod_inv": (("N",), lambda a: templates.adder_mod_inv(_modulus(a))),
+    "ctrl_mult_mod": (("N", "m"),
+                      lambda a: templates.ctrl_mult_mod(_multiplier(a))),
+    "ctrl_mult_mod_inv": (("N", "m"),
+                          lambda a: templates.ctrl_mult_mod_inv(_multiplier(a))),
+    "modular_exponentiation": (
+        ("N", "y"), lambda a: templates.modular_exponentiation(_exponent(a))),
+    "order_finding": (("N", "y"),
+                      lambda a: templates.order_finding(_exponent(a))),
+}
+_TEMPLATES["crk"], _TEMPLATES["crk_inv"] = _TEMPLATES["cr_k"], _TEMPLATES["cr_k_inv"]
 
 
 def _build_circuit(args) -> Circuit:
-    name = args.template.lower().rstrip("_")
-    t = templates
-    if name == "sum":
-        return t.sum_gate(0, 1, 2)
-    if name == "carry":
-        return t.carry_gate(0, 1, 2, 3)
-    if name == "carry_inv":
-        return t.carry_inv(0, 1, 2, 3)
-    if name == "ctrl_swap":
-        return t.ctrl_swap(0, 1, 2)
-    if name in ("cr_k", "cr_k_inv", "crk", "crk_inv"):
-        _require(args, "k")
-        fn = t.cr_k if "inv" not in name else t.cr_k_inv
-        return fn(0, 1, args.k)
-    if name in ("qft", "qft_inv"):
-        _require(args, "n")
-        fn = t.qft if name == "qft" else t.qft_inv
-        return fn(range(args.n))
-    if name in ("adder", "adder_inv"):
-        _require(args, "n")
-        layout = RegisterLayout(0, args.n)
-        return t.adder(layout) if name == "adder" else t.adder_inv(layout)
-    if name in ("adder_mod", "adder_mod_inv"):
-        _require(args, "N")
-        params = templates.TemplateParams(N=args.N, n=args.n)
-        return t.adder_mod(params) if name == "adder_mod" else t.adder_mod_inv(params)
-    if name in ("ctrl_mult_mod", "ctrl_mult_mod_inv"):
-        _require(args, "N", "m")
-        params = templates.TemplateParams(N=args.N, n=args.n, m=args.m, n_x=1)
-        fn = t.ctrl_mult_mod if name == "ctrl_mult_mod" else t.ctrl_mult_mod_inv
-        return fn(params)
-    if name == "modular_exponentiation":
-        _require(args, "N", "y")
-        n_x = t.default_n_x(args.N.bit_length(), args.nx)
-        return t.modular_exponentiation(
-            templates.TemplateParams(N=args.N, y=args.y, n=args.n, n_x=n_x))
-    if name == "order_finding":
-        _require(args, "N", "y")
-        n_x = t.default_n_x(args.N.bit_length(), args.nx)
-        return t.order_finding(
-            templates.TemplateParams(N=args.N, y=args.y, n=args.n, n_x=n_x))
-    raise CliError(f"unknown template {args.template!r}")
+    entry = _TEMPLATES.get(args.template.lower().rstrip("_"))
+    if entry is None:
+        raise CliError(f"unknown template {args.template!r}; expected one of "
+                       f"{', '.join(_TEMPLATES)} (any case)")
+    required, build = entry
+    for name in required:
+        if getattr(args, name) is None:
+            raise CliError(f"--{name} is required for this template")
+    return build(args)
 
 
 def _cmd_build(args) -> None:

@@ -51,8 +51,8 @@ from typing import Callable
 import numpy as np
 
 from .circuit import (
-    UNITARY_TOL, U1, R, XX, Circuit, Gate, GateKind, _trusted_gate, crk_angle,
-    gate_matrix, unitary_deviation,
+    UNITARY_TOL, U1, R, XX, Circuit, Gate, GateKind, _render_once, _text_line,
+    _trusted_gate, crk_angle, gate_matrix, unitary_deviation,
 )
 
 __all__ = [
@@ -329,38 +329,8 @@ class NativeProgram(Circuit):
                 f'"global_phase": {json.dumps(self.global_phase)}}}')
 
 
-def _render_once(gates: tuple[Gate, ...], render_params: Callable[[tuple], str],
-                 render: Callable[[Gate, str], str]) -> list[str]:
-    """``[render(g, render_params(g.params)) for g in gates]``, calling render
-    once per distinct gate object and render_params once per distinct params
-    object.
-
-    The lowering shares one object among all copies of a memoised gate, and
-    one params tuple among the R gates of a product on every wire.  ``gates``
-    holds every object for the whole call, so no id is reused.  The caches
-    are keyed by identity, never by value: 0.0 == -0.0, but they print apart.
-    """
-    rendered: dict[int, str] = {}
-    rendered_params: dict[int, str] = {}
-    out = []
-    for g in gates:
-        text = rendered.get(id(g))
-        if text is None:
-            params = g.params
-            ptext = rendered_params.get(id(params))
-            if ptext is None:
-                ptext = rendered_params[id(params)] = render_params(params)
-            text = rendered[id(g)] = render(g, ptext)
-        out.append(text)
-    return out
-
-
 def _text_params(params: tuple) -> str:
     return "".join([f" {p:.12g}" for p in params])
-
-
-def _text_line(g: Gate, params_text: str) -> str:
-    return " ".join([g.kind.value, *map(str, g.wires)]) + params_text
 
 
 _JSON_KINDS = {kind: json.dumps(kind.value) for kind in GateKind}

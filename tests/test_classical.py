@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ionshor.classical import (
-    BezoutSolution, diophantine_equation, gcd, is_perfect_power, is_prime,
-    mod_pow, modular_multiplicative_inverse, order_candidates, precompute_multipliers,
+    gcd, is_perfect_power, is_prime, mod_pow, modular_multiplicative_inverse,
+    order_candidates, precompute_multipliers,
 )
 
 
@@ -30,26 +30,6 @@ def test_gcd_matches_stdlib(a, b):
     if a == 0 and b == 0:
         return
     assert gcd(a, b) == math.gcd(a, b)
-
-
-def test_diophantine_examples():
-    assert diophantine_equation(5, 0) == BezoutSolution(1, 0, 5)
-    for a, b in [(3, 5), (6, 4)]:
-        sol = diophantine_equation(a, b)
-        assert a * sol.x + b * sol.y == sol.g == math.gcd(a, b)
-
-
-def test_diophantine_rejects_double_zero():
-    with pytest.raises(ValueError):
-        diophantine_equation(0, 0)
-
-
-@given(st.integers(0, 1000), st.integers(0, 1000))
-def test_diophantine_identity(a, b):
-    if a == 0 and b == 0:
-        return
-    sol = diophantine_equation(a, b)
-    assert a * sol.x + b * sol.y == sol.g == math.gcd(a, b)
 
 
 def test_inverse_examples():
